@@ -51,6 +51,11 @@ class PathArena {
     return static_cast<unsigned>(shards_.size());
   }
 
+  /// Entries one shard's lane can hold before push() throws.
+  [[nodiscard]] static constexpr std::size_t laneCapacity() noexcept {
+    return std::size_t{1} << kIndexBits;
+  }
+
   /// Appends a hop into `shard`'s lane: `node` was just visited, `prev` is the
   /// path up to it (which may live in any shard). Only `shard`'s owning worker
   /// (or serial code) may call this for a given shard.
@@ -58,7 +63,7 @@ class PathArena {
     BZC_ASSERT(shard < shards_.size());
     Shard& sh = shards_[shard];
     const std::size_t idx = sh.count;
-    BZC_ASSERT(idx < (std::size_t{1} << kIndexBits));
+    BZC_CHECK(idx < laneCapacity(), "walk-path arena lane full");
     std::unique_ptr<Entry[]>& block = sh.blocks[idx >> kBlockBits];
     if (!block) block = std::make_unique<Entry[]>(std::size_t{1} << kBlockBits);
     block[idx & ((std::size_t{1} << kBlockBits) - 1)] = {node, prev};

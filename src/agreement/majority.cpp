@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "adversary/strategies.hpp"
@@ -55,7 +56,10 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
     value[u] = rng.bernoulli(params.initialOnesFraction) ? 1 : 0;
     ones += value[u];
     const double L = std::max(1.0, estimates[u]);
-    walkLen[u] = static_cast<std::uint32_t>(std::ceil(params.walkLengthFactor * L));
+    const double len = std::ceil(params.walkLengthFactor * L);
+    BZC_REQUIRE(len <= std::numeric_limits<std::uint32_t>::max(),
+                "walk length overflows uint32_t");
+    walkLen[u] = static_cast<std::uint32_t>(len);
     iters[u] = static_cast<std::uint32_t>(std::ceil(params.iterationFactor * L));
     maxIters = std::max(maxIters, iters[u]);
   }
@@ -259,12 +263,17 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
   for (std::uint32_t it = 0; it < maxIters; ++it) {
     std::uint32_t maxLen = 0;
     bool any = false;
+    std::uint64_t arenaDemand = 0;  // worst case: two tokens each push walkLen hops
     for (NodeId u = 0; u < n; ++u) {
       if (byz.contains(u) || it >= iters[u]) continue;
       any = true;
       maxLen = std::max(maxLen, walkLen[u]);
+      arenaDemand += 2 * static_cast<std::uint64_t>(walkLen[u]);
     }
     if (!any) break;
+    // Every push may land in one shard's lane, so one lane must hold them all.
+    BZC_REQUIRE(arenaDemand <= PathArena::laneCapacity(),
+                "walk lengths exceed the path arena; lower the log n estimate");
     const std::int64_t iterT0 = trace != nullptr ? obs::traceClockNs() : 0;
 
     std::fill(tally.begin(), tally.end(), 0);

@@ -74,7 +74,7 @@ class BeaconPathArena {
     BZC_ASSERT(shard < shards_.size());
     Shard& sh = shards_[shard];
     const std::size_t idx = sh.count;
-    BZC_ASSERT(idx < (std::size_t{1} << kIndexBits));
+    BZC_CHECK(idx < (std::size_t{1} << kIndexBits), "beacon-path arena lane full");
     std::unique_ptr<Node[]>& block = sh.blocks[idx >> kBlockBits];
     if (!block) block = std::make_unique<Node[]>(std::size_t{1} << kBlockBits);
     block[idx & ((std::size_t{1} << kBlockBits) - 1)] = {id, parent};

@@ -69,7 +69,9 @@ struct RoundRecord {
   /// only): how the canonical merge's inputs were distributed.
   std::array<std::uint32_t, kTraceMaxShards> laneSends{};
   // Wall-clock phase timings (ns); nondeterministic payload, excluded from
-  // the deterministic projection. Serial engines fold flush into scatterNs.
+  // the deterministic projection. At every S: recvNs is the recv hooks,
+  // mergeNs the flush's counting/metering pass plus (S > 1) the lane merge,
+  // scatterNs the flush's scatter.
   std::int64_t recvNs = 0;
   std::int64_t mergeNs = 0;
   std::int64_t scatterNs = 0;

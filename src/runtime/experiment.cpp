@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
 #include "runtime/fingerprint.hpp"
+#include "runtime/sync_engine.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/require.hpp"
 #include "support/stats.hpp"
@@ -68,6 +69,7 @@ constexpr std::uint64_t kProtocolStream = 0x52aa;
 }  // namespace
 
 MaterializedTrial materializeTrial(const ScenarioSpec& spec, std::uint32_t index) {
+  BZC_REQUIRE(spec.shards <= kMaxEngineShards, "shards exceeds kMaxEngineShards");
   const Rng master(spec.masterSeed);
   const Rng trialRng = master.fork(index);
 

@@ -21,21 +21,20 @@
 //
 // Intra-trial sharding (DESIGN.md §10): the constructor takes a shard count S.
 // Nodes are partitioned into S contiguous shards of ceil(n/S) nodes; a shard
-// owns its nodes' inboxes. At S > 1 the engine owns a ThreadPool of S workers
-// and a round becomes: serial emit — parallel recv over per-shard touched
-// lists (a recv hook taking a ShardLane& queues sends into its shard's lane) —
-// serial canonical merge (per-recv-call run lengths interleave lane sends back
-// into global first-delivery order, reproducing the serial send-queue order
-// exactly) — serial counting/metering pass — parallel receiver-owned scatter
-// (each worker walks the canonical send order and writes only inboxes its
-// shard owns, so cursors are race-free and per-inbox order matches serial).
-// The invariant is the same one ExperimentRunner pins for trials: fingerprints
-// are bit-identical at any shard count, and S == 1 is exactly the legacy
-// serial path (same code, same object states, base RNG streams). recv hooks
-// with the legacy (NodeId, Round, span) signature still run serially at any S.
+// owns its nodes' inboxes. Every S runs the same round: serial emit — recv
+// over each shard's touched nodes (a recv hook queues sends into its shard's
+// ShardLane) — serial canonical merge (per-recv-call run lengths interleave
+// lane sends back into sendQueue_ in global first-delivery order) — one flush:
+// a serial counting/metering pass, then a receiver-owned scatter in which each
+// shard walks the canonical send order and writes only inboxes it owns, so
+// cursors are race-free and per-inbox order is the same at every S. At S == 1
+// the shard loops run inline, the lane is sendQueue_ itself and the merge is
+// empty; at S > 1 the engine owns a ThreadPool of S workers. The invariant is
+// the one ExperimentRunner pins for trials: fingerprints are bit-identical at
+// any shard count.
 //
 // Provenance tags (DESIGN.md §14) ride inside Message payloads: the engine
-// moves/copies payloads opaquely through the canonical merge and scatter, so
+// copies payloads opaquely through the canonical merge and scatter, so
 // tags like WalkToken::taintNode or BeaconFrame::forgeNode arrive at the
 // receiver exactly as sent and never perturb ordering, metering, or RNG —
 // blame collection costs no simulated bits and no determinism caveats.
@@ -64,9 +63,9 @@
 
 namespace bzc {
 
-/// Shard counts above this are clamped: the sharded path arenas tag refs with
-/// a 4-bit shard index, and past ~16 shards the serial merge/count passes
-/// dominate anyway (Amdahl).
+/// The engine clamps shard counts above this (ScenarioSpec rejects them): the
+/// path arenas tag refs with a 4-bit shard index, and past ~16 shards the
+/// serial merge/count passes dominate anyway (Amdahl).
 inline constexpr unsigned kMaxEngineShards = 16;
 
 enum class WindowStatus {
@@ -100,6 +99,11 @@ struct NoEnd {
 
 template <typename Message>
 class SyncEngine {
+  // The scatter copies each payload once per receiver, from every shard's
+  // worker at once; trivially copyable payloads make that cheap and race-free.
+  static_assert(std::is_trivially_copyable_v<Message>,
+                "SyncEngine payloads must be trivially copyable");
+
  private:
   struct PendingSend {
     NodeId from;
@@ -113,22 +117,18 @@ class SyncEngine {
     NodeId sender = kNoNode;
     Message payload{};
   };
-  struct NoRecv {
-    void operator()(NodeId, Round, std::span<const Delivery>) const noexcept {}
-  };
 
-  /// Send handle passed to shard-aware recv hooks. At S == 1 it feeds the
-  /// engine's ordinary send queue (the legacy path, byte for byte); at S > 1
-  /// it feeds the calling shard's private lane, so recv-phase sends need no
-  /// synchronization. shard() indexes per-shard protocol state (forked RNG
-  /// streams, stat counters, arena lanes).
+  /// Send handle passed to recv hooks. At S == 1 it feeds the engine's send
+  /// queue directly; at S > 1 it feeds the calling shard's private lane, so
+  /// recv-phase sends need no synchronization. shard() indexes per-shard
+  /// protocol state (forked RNG streams, stat counters, arena lanes).
   class ShardLane {
    public:
     void broadcast(NodeId from, Message payload, std::size_t bits) {
-      sink_->push_back({from, kNoNode, std::move(payload), bits});
+      sink_->push_back({from, kNoNode, payload, bits});
     }
     void unicast(NodeId from, NodeId to, Message payload, std::size_t bits) {
-      sink_->push_back({from, to, std::move(payload), bits});
+      sink_->push_back({from, to, payload, bits});
     }
     [[nodiscard]] unsigned shard() const noexcept { return shard_; }
 
@@ -139,11 +139,9 @@ class SyncEngine {
     unsigned shard_;
   };
 
-  /// True when RecvFn has the shard-aware signature. Detected (not opted into)
-  /// so the flood overload and every legacy call site stay untouched.
-  template <typename RecvFn>
-  static constexpr bool kShardedRecv =
-      std::is_invocable_v<RecvFn&, ShardLane&, NodeId, Round, std::span<const Delivery>>;
+  struct NoRecv {
+    void operator()(ShardLane&, NodeId, Round, std::span<const Delivery>) const noexcept {}
+  };
 
   /// maxTotalRounds == 0 disables the engine-wide cap. shards is clamped to
   /// [1, min(kMaxEngineShards, n)]; 1 (the default) is the serial engine.
@@ -177,9 +175,10 @@ class SyncEngine {
   }
 
   /// Runs fn(shard, loNode, hiNode) over every shard's node range — on the
-  /// engine's pool at S > 1, inline at S == 1. For protocol phases that scan
-  /// all nodes with shard-owned writes (e.g. the beacon decision loop); it
-  /// hands out node ranges only, never send lanes.
+  /// engine's pool at S > 1, inline at S == 1. The engine's own recv and
+  /// scatter passes run through it, as do protocol phases that scan all nodes
+  /// with shard-owned writes (e.g. the beacon decision loop); it hands out
+  /// node ranges only, never send lanes.
   template <typename Fn>
   void forEachShard(Fn&& fn) {
     if (shards_ == 1) {
@@ -212,27 +211,16 @@ class SyncEngine {
     }
   }
 
-  // --- sending (valid from emit/recv/end hooks, or before a window to seed
-  // --- its first round) -----------------------------------------------------
+  // --- sending (valid from emit/end hooks, or before a window to seed its
+  // --- first round; recv hooks send through their ShardLane) ----------------
   void broadcast(NodeId from, Message payload, std::size_t bits) {
-    sendQueue_.push_back({from, kNoNode, std::move(payload), bits});
+    sendQueue_.push_back({from, kNoNode, payload, bits});
   }
   void unicast(NodeId from, NodeId to, Message payload, std::size_t bits) {
-    sendQueue_.push_back({from, to, std::move(payload), bits});
+    sendQueue_.push_back({from, to, payload, bits});
   }
-  void clearPending() noexcept {
-    sendQueue_.clear();
-    if (shards_ > 1) {
-      for (Lane& lane : lanes_) {
-        lane.sends.clear();
-        lane.runLengths.clear();
-      }
-      flushOrder_.clear();
-    }
-  }
-  [[nodiscard]] bool hasPending() const noexcept {
-    return !sendQueue_.empty() || !flushOrder_.empty();
-  }
+  void clearPending() noexcept { sendQueue_.clear(); }
+  [[nodiscard]] bool hasPending() const noexcept { return !sendQueue_.empty(); }
 
   /// Inbox of node v for the current round (valid inside recv/end hooks).
   [[nodiscard]] std::span<const Delivery> inboxOf(NodeId v) const {
@@ -243,9 +231,9 @@ class SyncEngine {
   // --- the round loop -------------------------------------------------------
   // Per round: cap check; advance the counter; emit(w); flush queued sends
   // into inboxes (metering honest senders); stop as Quiesced when nothing
-  // moved; recv(v, w, inbox) for each touched v in first-delivery order
-  // (shard-parallel when the hook takes a ShardLane& and S > 1); end(w) —
-  // return false to stop; clear inboxes.
+  // moved; recv(lane, v, w, inbox) for each touched v (shard-parallel at
+  // S > 1), its sends merged into first-delivery order; end(w) — return false
+  // to stop; clear inboxes.
   template <typename EmitFn, typename RecvFn, typename EndFn>
   WindowResult runWindow(std::uint32_t rounds, EmitFn&& emit, RecvFn&& recv, EndFn&& end,
                          IdlePolicy idle = IdlePolicy::StopWhenIdle) {
@@ -276,25 +264,8 @@ class SyncEngine {
         traceRecvNs_ = traceMergeNs_ = traceScatterNs_ = 0;
       }
       emit(static_cast<Round>(w));
-      bool anyTraffic;
-      if (shards_ > 1) {
-        if (tr != nullptr) {
-          rd.sends = static_cast<std::uint32_t>(flushOrder_.size() + sendQueue_.size());
-        }
-        anyTraffic = shardedFlush();
-      } else {
-        flushing_.clear();
-        flushing_.swap(sendQueue_);  // sends queued from hooks target the next round
-        if (tr != nullptr) {
-          rd.sends = static_cast<std::uint32_t>(flushing_.size());
-          const std::int64_t t0 = obs::traceClockNs();
-          flush();
-          traceScatterNs_ = obs::traceClockNs() - t0;  // serial: whole flush
-        } else {
-          flush();
-        }
-        anyTraffic = !flushing_.empty();
-      }
+      if (tr != nullptr) rd.sends = static_cast<std::uint32_t>(sendQueue_.size());
+      const bool anyTraffic = flush();
       if (tr != nullptr) {
         rd.round = round_;
         rd.shards = static_cast<std::uint8_t>(shards_);
@@ -315,31 +286,7 @@ class SyncEngine {
         trace_ = nullptr;
         return res;
       }
-      if constexpr (kShardedRecv<RecvFn>) {
-        if (shards_ > 1) {
-          runShardedRecv(static_cast<Round>(w), recv);
-          if (tr != nullptr) {
-            for (unsigned s = 0; s < shards_ && s < obs::kTraceMaxShards; ++s) {
-              rd.laneSends[s] = static_cast<std::uint32_t>(lanes_[s].sends.size());
-            }
-          }
-        } else {
-          ShardLane lane(&sendQueue_, 0);  // legacy queue: serial order as-is
-          const std::int64_t t0 = tr != nullptr ? obs::traceClockNs() : 0;
-          for (NodeId v : touched_) {
-            recv(lane, v, static_cast<Round>(w), inboxOf(v));
-          }
-          if (tr != nullptr) traceRecvNs_ = obs::traceClockNs() - t0;
-        }
-      } else {
-        // Legacy hook signature: always serial, even at S > 1 (its sends go
-        // through broadcast()/unicast() into sendQueue_, preserving order).
-        const std::int64_t t0 = tr != nullptr ? obs::traceClockNs() : 0;
-        for (NodeId v : touched_) {
-          recv(v, static_cast<Round>(w), inboxOf(v));
-        }
-        if (tr != nullptr) traceRecvNs_ = obs::traceClockNs() - t0;
-      }
+      deliver(static_cast<Round>(w), recv, rd);
       const bool keep = end(static_cast<Round>(w));
       if (tr != nullptr) {
         rd.recvNs = traceRecvNs_;
@@ -349,9 +296,7 @@ class SyncEngine {
       }
       for (NodeId v : touched_) inboxCount_[v] = 0;
       touched_.clear();
-      if (shards_ > 1) {
-        for (std::vector<NodeId>& t : perShardTouched_) t.clear();
-      }
+      for (std::vector<NodeId>& t : perShardTouched_) t.clear();
       if (!keep) {
         res.status = WindowStatus::Stopped;
         if (tr != nullptr) tr->span("engine.window", winT0, round_);
@@ -390,17 +335,17 @@ class SyncEngine {
     return std::min<NodeId>(graph_.numNodes(), shardLo(s) + chunk_);
   }
 
-  // Batched delivery: one counting pass sizes every inbox, receivers get
-  // contiguous slices of a single round arena (offsets assigned in
-  // first-delivery order, which keeps `touched_` — and therefore the recv
-  // order the goldens pin — identical to the old one-Delivery-per-push
-  // scheme), then a scatter pass writes payloads in send-queue order. At
-  // token-heavy scale (n >= 64k: one unicast per live walk token per round)
-  // this replaces n scattered vector headers and their growth reallocations
-  // with two flat arrays and a grow-only arena; delivery order, metering
-  // order and inbox contents are bit-identical (DESIGN.md §1).
-  void flush() {
-    for (const PendingSend& p : flushing_) {
+  // Batched delivery of sendQueue_ (canonical order: merged recv-phase sends,
+  // then end-hook sends, then this round's emit/seed sends). One serial pass
+  // counts every inbox, meters honest senders and records touched_ in
+  // first-delivery order; receivers then get contiguous slices of a single
+  // round arena, and the scatter writes payloads in queue order. Each shard
+  // writes only the inboxes it owns, so inboxCursor_ entries are
+  // single-writer and every inbox fills in the same order at any S.
+  bool flush() {
+    if (sendQueue_.empty()) return false;
+    std::int64_t t0 = trace_ != nullptr ? obs::traceClockNs() : 0;
+    for (const PendingSend& p : sendQueue_) {
       if (p.to == kNoNode) {
         if (!byz_.contains(p.from)) {
           meter_.recordBroadcast(p.from, p.bits, graph_.degree(p.from));
@@ -420,144 +365,79 @@ class SyncEngine {
       total += inboxCount_[v];
     }
     if (inboxArena_.size() < total) inboxArena_.resize(total);
-    for (PendingSend& p : flushing_) {
-      if (p.to == kNoNode) {
-        // The final delivery slot gets the payload moved, not copied: message
-        // types carrying buffers (walk tokens) pay one copy per neighbor less.
-        const auto nbrs = graph_.neighbors(p.from);
-        for (std::size_t j = 0; j + 1 < nbrs.size(); ++j) {
-          inboxArena_[inboxCursor_[nbrs[j]]++] = {p.from, Message(p.payload)};
-        }
-        if (!nbrs.empty()) {
-          inboxArena_[inboxCursor_[nbrs.back()]++] = {p.from, std::move(p.payload)};
-        }
-      } else {
-        // A unicast has exactly one receiver and flushing_ is discarded after
-        // the flush, so the payload can move (message types carrying buffers —
-        // walk tokens — ride this hot path).
-        inboxArena_[inboxCursor_[p.to]++] = {p.from, std::move(p.payload)};
-      }
+    // Per-shard touched lists (first-delivery order restricted to the shard)
+    // in a pass of their own: the counting loop above stays the S == 1 loop.
+    if (shards_ > 1) {
+      for (NodeId v : touched_) perShardTouched_[shardOf(v)].push_back(v);
     }
+    if (trace_ != nullptr) {
+      const std::int64_t t1 = obs::traceClockNs();
+      traceMergeNs_ += t1 - t0;
+      t0 = t1;
+    }
+    forEachShard([&](std::size_t, NodeId lo, NodeId hi) {
+      for (const PendingSend& p : sendQueue_) {
+        if (p.to == kNoNode) {
+          for (NodeId v : graph_.neighbors(p.from)) {
+            if (v >= lo && v < hi) inboxArena_[inboxCursor_[v]++] = {p.from, p.payload};
+          }
+        } else if (p.to >= lo && p.to < hi) {
+          inboxArena_[inboxCursor_[p.to]++] = {p.from, p.payload};
+        }
+      }
+    });
+    if (trace_ != nullptr) traceScatterNs_ += obs::traceClockNs() - t0;
+    sendQueue_.clear();
+    return true;
   }
 
-  // Shard-parallel recv: each worker serves its shard's touched nodes (global
-  // first-delivery order restricted to the shard preserves relative order) and
-  // records, per recv call, how many sends the hook queued (a run length).
-  // The serial merge then walks the *global* touched_ list, consuming each
-  // node's run from its shard's lane — reproducing the exact send order the
-  // serial engine would have built, at any shard count.
+  // recv over every touched node. At S == 1 the hook's lane is sendQueue_
+  // and touched_ is already first-delivery order. At S > 1 each shard serves
+  // its own touched list into its lane, recording per recv call how many
+  // sends the hook queued (a run length); the merge then walks the global
+  // touched_ list and appends each node's run from its shard's lane to
+  // sendQueue_, reproducing the S == 1 queue exactly.
   template <typename RecvFn>
-  void runShardedRecv(Round w, RecvFn& recv) {
+  void deliver(Round w, RecvFn& recv, obs::RoundRecord& rd) {
     std::int64_t t0 = trace_ != nullptr ? obs::traceClockNs() : 0;
-    pool_->parallelForChunked(shards_, [&](std::size_t cLo, std::size_t cHi) {
-      for (std::size_t s = cLo; s < cHi; ++s) {
-        Lane& lane = lanes_[s];
-        ShardLane handle(&lane.sends, static_cast<unsigned>(s));
-        std::size_t mark = lane.sends.size();
-        for (NodeId v : perShardTouched_[s]) {
-          recv(handle, v, w, inboxOf(v));
-          lane.runLengths.push_back(static_cast<std::uint32_t>(lane.sends.size() - mark));
-          mark = lane.sends.size();
-        }
+    if (shards_ == 1) {
+      ShardLane lane(&sendQueue_, 0);
+      for (NodeId v : touched_) recv(lane, v, w, inboxOf(v));
+      if (trace_ != nullptr) traceRecvNs_ += obs::traceClockNs() - t0;
+      return;
+    }
+    forEachShard([&](std::size_t s, NodeId, NodeId) {
+      Lane& lane = lanes_[s];
+      ShardLane handle(&lane.sends, static_cast<unsigned>(s));
+      std::size_t mark = 0;
+      for (NodeId v : perShardTouched_[s]) {
+        recv(handle, v, w, inboxOf(v));
+        lane.runLengths.push_back(static_cast<std::uint32_t>(lane.sends.size() - mark));
+        mark = lane.sends.size();
       }
     });
     if (trace_ != nullptr) {
       const std::int64_t t1 = obs::traceClockNs();
       traceRecvNs_ += t1 - t0;
       t0 = t1;
+      for (unsigned s = 0; s < shards_ && s < obs::kTraceMaxShards; ++s) {
+        rd.laneSends[s] = static_cast<std::uint32_t>(lanes_[s].sends.size());
+      }
     }
     std::fill(runCursor_.begin(), runCursor_.end(), 0);
     std::fill(sendCursor_.begin(), sendCursor_.end(), 0);
     for (NodeId v : touched_) {
       const unsigned s = shardOf(v);
       const std::uint32_t len = lanes_[s].runLengths[runCursor_[s]++];
-      for (std::uint32_t k = 0; k < len; ++k) {
-        flushOrder_.push_back(&lanes_[s].sends[sendCursor_[s]++]);
-      }
+      const auto first = lanes_[s].sends.begin() + static_cast<std::ptrdiff_t>(sendCursor_[s]);
+      sendQueue_.insert(sendQueue_.end(), first, first + len);
+      sendCursor_[s] += len;
     }
-    if (trace_ != nullptr) traceMergeNs_ += obs::traceClockNs() - t0;
-    // Lane storage stays live (flushOrder_ points into it) until the next
-    // shardedFlush consumes it; nothing appends to lanes outside recv, so the
-    // pointers cannot be invalidated by reallocation in between.
-  }
-
-  // Sharded flush. Canonical order = recv-phase lane sends (already merged
-  // into flushOrder_) followed by serial-context sends (end/emit/seed, from
-  // sendQueue_) — exactly the serial engine's FIFO. Pass 1 counts inboxes,
-  // builds touched lists and meters honest senders serially in that order
-  // (serial metering here subsumes the per-shard meter reduction: same sums,
-  // same per-sender attribution). Pass 3 scatters receiver-owned in parallel:
-  // every worker walks the full canonical order but writes only inboxes its
-  // shard owns, so inboxCursor_ entries are single-writer and each inbox fills
-  // in canonical order — bit-identical to serial.
-  bool shardedFlush() {
-    if (!sendQueue_.empty()) {
-      flushOrder_.reserve(flushOrder_.size() + sendQueue_.size());
-      for (PendingSend& p : sendQueue_) flushOrder_.push_back(&p);
-    }
-    if (flushOrder_.empty()) return false;
-    std::int64_t t0 = trace_ != nullptr ? obs::traceClockNs() : 0;
-    for (const PendingSend* p : flushOrder_) {
-      if (p->to == kNoNode) {
-        if (!byz_.contains(p->from)) {
-          meter_.recordBroadcast(p->from, p->bits, graph_.degree(p->from));
-        }
-        for (NodeId v : graph_.neighbors(p->from)) {
-          if (inboxCount_[v]++ == 0) {
-            touched_.push_back(v);
-            perShardTouched_[shardOf(v)].push_back(v);
-          }
-        }
-      } else {
-        if (!byz_.contains(p->from)) meter_.record(p->from, p->bits);
-        if (inboxCount_[p->to]++ == 0) {
-          touched_.push_back(p->to);
-          perShardTouched_[shardOf(p->to)].push_back(p->to);
-        }
-      }
-    }
-    std::size_t total = 0;
-    for (NodeId v : touched_) {
-      inboxStart_[v] = total;
-      inboxCursor_[v] = total;
-      total += inboxCount_[v];
-    }
-    if (inboxArena_.size() < total) inboxArena_.resize(total);
-    if (trace_ != nullptr) {
-      // The serial counting/metering pass belongs with the canonical merge
-      // (both are the Amdahl-serial fraction); the pool pass below is scatter.
-      const std::int64_t t1 = obs::traceClockNs();
-      traceMergeNs_ += t1 - t0;
-      t0 = t1;
-    }
-    pool_->parallelForChunked(shards_, [&](std::size_t cLo, std::size_t cHi) {
-      // A chunk of contiguous shards owns one contiguous node range.
-      const NodeId lo = shardLo(cLo);
-      const NodeId hi = shardHi(cHi - 1);
-      for (PendingSend* p : flushOrder_) {
-        if (p->to == kNoNode) {
-          // Broadcasts copy into every owned slot: the move-into-last trick of
-          // the serial flush would race here (workers on other chunks read the
-          // same payload concurrently).
-          for (NodeId v : graph_.neighbors(p->from)) {
-            if (v >= lo && v < hi) {
-              inboxArena_[inboxCursor_[v]++] = {p->from, Message(p->payload)};
-            }
-          }
-        } else if (p->to >= lo && p->to < hi) {
-          // Unicast: single receiver, single owner — safe to move.
-          inboxArena_[inboxCursor_[p->to]++] = {p->from, std::move(p->payload)};
-        }
-      }
-    });
-    if (trace_ != nullptr) traceScatterNs_ += obs::traceClockNs() - t0;
-    sendQueue_.clear();
     for (Lane& lane : lanes_) {
       lane.sends.clear();
       lane.runLengths.clear();
     }
-    flushOrder_.clear();
-    return true;
+    if (trace_ != nullptr) traceMergeNs_ += obs::traceClockNs() - t0;
   }
 
   const Graph& graph_;
@@ -566,8 +446,7 @@ class SyncEngine {
   std::uint64_t round_ = 0;
   MessageMeter meter_;
 
-  std::vector<PendingSend> sendQueue_;
-  std::vector<PendingSend> flushing_;
+  std::vector<PendingSend> sendQueue_;      ///< canonical send order for the next flush
   std::vector<Delivery> inboxArena_;        ///< one round's deliveries, receiver-contiguous
   std::vector<std::size_t> inboxCount_;     ///< per node; nonzero only for touched_ members
   std::vector<std::size_t> inboxStart_;     ///< arena offset; valid when inboxCount_ > 0
@@ -580,12 +459,11 @@ class SyncEngine {
   std::unique_ptr<ThreadPool> pool_;        ///< S workers, owned by the engine
   std::vector<Lane> lanes_;                 ///< per-shard recv-phase outboxes
   std::vector<std::vector<NodeId>> perShardTouched_;
-  std::vector<PendingSend*> flushOrder_;    ///< canonical send order for the next flush
   std::vector<std::size_t> runCursor_;      ///< merge: next run length per shard
   std::vector<std::size_t> sendCursor_;     ///< merge: next lane send per shard
 
   // Tracing (observational only — read from committed state, never fed back).
-  // trace_ is set for the duration of a runWindow call so the sharded helpers
+  // trace_ is set for the duration of a runWindow call so flush and deliver
   // know whether to read the clock; the ns accumulators are per-round scratch.
   obs::TrialTrace* trace_ = nullptr;
   std::int64_t traceRecvNs_ = 0;

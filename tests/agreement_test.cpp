@@ -3,6 +3,9 @@
 // gates pinning the SyncEngine migration of the agreement layer.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
+
 #include "agreement/majority.hpp"
 #include "agreement/pipeline.hpp"
 #include "agreement/random_walk.hpp"
@@ -294,6 +297,24 @@ TEST(AgreementEquivalence, PipelineFlooderMatchesPreRefactor) {
   // capture counted 0.899373 decided over all 512 slots; evaluateQuality
   // divides by the 506 honest nodes instead.
   EXPECT_NEAR(s.fracDecided.mean, 0.899373 * 512.0 / 506.0, 1e-6);
+}
+
+// An estimate of log n far above the truth asks for walks whose reverse paths
+// cannot fit the path arena. The run must be refused before any token is
+// launched, in every build type, instead of overrunning the arena.
+TEST(AgreementPreconditions, OversizedEstimateIsRejectedBeforeAnyLaunch) {
+  ScenarioSpec spec;
+  spec.name = "agreement-oversized-estimate";
+  spec.graph = {GraphKind::Hnd, 64, 8, 0.1};
+  spec.protocol = ProtocolKind::Agreement;
+  spec.agreementEstimate = 1e9;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)ExperimentRunner::runTrial(spec, 0), std::invalid_argument);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 500);
+  // A walk length past uint32_t is refused as well, not truncated.
+  spec.agreementEstimate = 1e10;
+  EXPECT_THROW((void)ExperimentRunner::runTrial(spec, 0), std::invalid_argument);
 }
 
 }  // namespace

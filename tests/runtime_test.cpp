@@ -104,7 +104,8 @@ TEST(SyncEngine, InboxPreservesQueueOrderAndRecvFiresInFirstDeliveryOrder) {
 
   std::vector<NodeId> recvOrder;
   std::vector<int> centerInbox;
-  auto res = engine.runWindow(1, [&](NodeId v, Round, std::span<const IntEngine::Delivery> box) {
+  auto res = engine.runWindow(1, [&](IntEngine::ShardLane&, NodeId v, Round,
+                                     std::span<const IntEngine::Delivery> box) {
     recvOrder.push_back(v);
     if (v == 0) {
       for (const auto& d : box) centerInbox.push_back(d.payload);
@@ -135,7 +136,7 @@ TEST(SyncEngine, RunFullWindowKeepsGoingThroughIdleRounds) {
   auto emit = [&](Round w) {
     if (w == 3) engine.broadcast(0, 7, 8);  // traffic only in the last round
   };
-  auto recv = [&](NodeId, Round w, std::span<const IntEngine::Delivery>) {
+  auto recv = [&](IntEngine::ShardLane&, NodeId, Round w, std::span<const IntEngine::Delivery>) {
     deliveries.push_back(w);
   };
   const auto res = engine.runWindow(3, emit, recv, NoEnd{}, IdlePolicy::RunFullWindow);
@@ -149,8 +150,9 @@ TEST(SyncEngine, RoundCapStopsEndlessFlood) {
   const ByzantineSet byz(6, {});
   IntEngine engine(g, byz, /*maxTotalRounds=*/4);
   engine.broadcast(0, 1, 8);
-  auto echo = [&](NodeId v, Round, std::span<const IntEngine::Delivery>) {
-    engine.broadcast(v, 1, 8);  // every receiver re-floods forever
+  auto echo = [&](IntEngine::ShardLane& lane, NodeId v, Round,
+                  std::span<const IntEngine::Delivery>) {
+    lane.broadcast(v, 1, 8);  // every receiver re-floods forever
   };
   const auto res = engine.runWindow(0, echo);
   EXPECT_EQ(res.status, WindowStatus::Capped);
@@ -163,8 +165,9 @@ TEST(SyncEngine, EndHookStopsTheWindow) {
   const ByzantineSet byz(4, {});
   IntEngine engine(g, byz);
   engine.broadcast(0, 1, 8);
-  auto echo = [&](NodeId v, Round, std::span<const IntEngine::Delivery>) {
-    engine.broadcast(v, 1, 8);
+  auto echo = [&](IntEngine::ShardLane& lane, NodeId v, Round,
+                  std::span<const IntEngine::Delivery>) {
+    lane.broadcast(v, 1, 8);
   };
   auto stopAfterTwo = [&](Round) { return engine.round() < 2; };
   const auto res = engine.runWindow(0, NoEmit{}, echo, stopAfterTwo);
@@ -180,7 +183,8 @@ TEST(SyncEngine, MetersHonestSendersOnly) {
   engine.broadcast(1, 6, 32);  // Byzantine: delivered but never metered
   engine.unicast(2, 3, 7, 16);  // honest unicast: one copy
   std::size_t delivered = 0;
-  auto res = engine.runWindow(1, [&](NodeId, Round, std::span<const IntEngine::Delivery> box) {
+  auto res = engine.runWindow(1, [&](IntEngine::ShardLane&, NodeId, Round,
+                                     std::span<const IntEngine::Delivery> box) {
     delivered += box.size();
   });
   EXPECT_EQ(res.status, WindowStatus::Completed);

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <vector>
 
 #include "adversary/token_arena.hpp"
@@ -284,43 +285,77 @@ TEST(ShardedScenarios, TrialsTimesShardsOversubscriptionMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level ordering: a shard-aware hook at S > 1 must see every inbox in
-// the same per-receiver order, produce the same traffic and meter the same
-// totals as the serial engine running the identical protocol.
+// Engine-level ordering: a recv hook at S > 1 must see every inbox in the
+// same per-receiver order, produce the same traffic and meter the same totals
+// as the serial engine running the identical protocol; and at every S the
+// send queue must hold recv-phase sends, then end-hook sends, then the next
+// round's emit sends.
 // ---------------------------------------------------------------------------
 
 using IntEngine = SyncEngine<int>;
 
 struct EchoTrace {
   std::vector<std::vector<int>> inboxes;  ///< per node, concatenated across rounds
+  std::vector<char> disordered;           ///< per node: some inbox broke phase order
+  std::vector<int> allPhaseInboxes;       ///< per node: inboxes holding all three phases
   std::uint64_t rounds = 0;
   std::uint64_t messages = 0;
   std::uint64_t bits = 0;
 };
 
+// Payload = phase * kPhaseStride + ttl. The phase names the hook that queued
+// the send; within one round's queue the engine must order them recv-phase
+// (and seeded) sends, then end-hook sends, then the next round's emit sends.
+constexpr int kPhaseStride = 16;
+constexpr int kRecvPhase = 0;
+constexpr int kEndPhase = 1;
+constexpr int kEmitPhase = 2;
+
 // Every receiver forwards each delivery once more (decremented ttl payload),
 // alternating broadcast/unicast by parity — deterministic per receiver, so
-// the trace is comparable even though cross-shard recv order is not.
+// the trace is comparable even though cross-shard recv order is not. For the
+// first rounds the emit and end hooks also send, from node 0 and node 1, so
+// their sends share inboxes with recv-phase sends.
 EchoTrace runEcho(const Graph& g, const ByzantineSet& byz, unsigned shards) {
   EchoTrace trace;
   trace.inboxes.resize(g.numNodes());
+  trace.disordered.assign(g.numNodes(), 0);
+  trace.allPhaseInboxes.assign(g.numNodes(), 0);
   IntEngine engine(g, byz, /*maxTotalRounds=*/64, shards);
   engine.broadcast(0, 6, 8);
   engine.broadcast(static_cast<NodeId>(g.numNodes() / 2), 5, 8);
   engine.unicast(1, 2, 4, 8);
+  const auto emit = [&](Round w) {
+    if (w <= 4) engine.broadcast(0, kEmitPhase * kPhaseStride + 1, 8);
+  };
   const auto recv = [&](IntEngine::ShardLane& lane, NodeId v, Round,
                         std::span<const IntEngine::Delivery> box) {
+    int lastPhase = kRecvPhase;
+    std::uint32_t phasesSeen = 0;
     for (const auto& d : box) {
       trace.inboxes[v].push_back(d.payload);
-      if (d.payload <= 0) continue;
+      const int phase = d.payload / kPhaseStride;
+      const int ttl = d.payload % kPhaseStride;
+      if (phase < lastPhase) trace.disordered[v] = 1;
+      lastPhase = phase;
+      phasesSeen |= 1u << phase;
+      if (ttl <= 0) continue;
       if (v % 2 == 0) {
-        lane.broadcast(v, d.payload - 1, 8);
+        lane.broadcast(v, kRecvPhase * kPhaseStride + ttl - 1, 8);
       } else {
-        lane.unicast(v, g.neighbors(v).front(), d.payload - 1, 8);
+        lane.unicast(v, g.neighbors(v).front(), kRecvPhase * kPhaseStride + ttl - 1, 8);
       }
     }
+    if (phasesSeen == 0b111) ++trace.allPhaseInboxes[v];
   };
-  const auto res = engine.runWindow(0, NoEmit{}, recv, NoEnd{});
+  const auto end = [&](Round w) {
+    if (w <= 3) {
+      engine.broadcast(0, kEndPhase * kPhaseStride + 1, 8);
+      engine.unicast(1, g.neighbors(1).front(), kEndPhase * kPhaseStride + 2, 8);
+    }
+    return true;
+  };
+  const auto res = engine.runWindow(0, emit, recv, end);
   EXPECT_EQ(res.status, WindowStatus::Quiesced);
   trace.rounds = engine.round();
   MessageMeter meter = engine.releaseMeter();
@@ -335,15 +370,21 @@ TEST(ShardedEngine, ShardedHookMatchesSerialAtEveryShardCount) {
   const ByzantineSet byz(64, {7, 13});
   const EchoTrace serial = runEcho(g, byz, 1);
   EXPECT_GT(serial.rounds, 2u);
-  for (unsigned s : {2u, 4u, 8u, 16u}) {
-    const EchoTrace sharded = runEcho(g, byz, s);
+  for (unsigned s : {1u, 2u, 4u, 8u, 16u}) {
+    const EchoTrace sharded = s == 1 ? serial : runEcho(g, byz, s);
     EXPECT_EQ(sharded.rounds, serial.rounds) << s << " shards";
     EXPECT_EQ(sharded.messages, serial.messages) << s << " shards";
     EXPECT_EQ(sharded.bits, serial.bits) << s << " shards";
+    int allPhaseInboxes = 0;
     for (NodeId v = 0; v < 64; ++v) {
       EXPECT_EQ(sharded.inboxes[v], serial.inboxes[v])
           << "inbox of node " << v << " diverged at " << s << " shards";
+      EXPECT_EQ(sharded.disordered[v], 0)
+          << "node " << v << " saw phases out of queue order at " << s << " shards";
+      allPhaseInboxes += sharded.allPhaseInboxes[v];
     }
+    // The order check must have bitten: some inbox held all three phases.
+    EXPECT_GT(allPhaseInboxes, 0) << s << " shards";
   }
 }
 
@@ -364,6 +405,20 @@ TEST(ShardedEngine, ShardCountIsClampedToNodesAndCap) {
   for (NodeId v = 0; v < 8; ++v) {
     EXPECT_EQ(owner[v], static_cast<int>(wide.shardOf(v)));
   }
+}
+
+TEST(ShardedScenarios, ShardsAboveTheEngineCapAreRejected) {
+  ScenarioSpec spec;
+  spec.name = "agreement-too-many-shards";
+  spec.graph = {GraphKind::Hnd, 64, 8, 0.1};
+  spec.protocol = ProtocolKind::Agreement;
+  spec.trials = 2;
+  spec.shards = kMaxEngineShards + 1;
+  EXPECT_THROW((void)materializeTrial(spec, 0), std::invalid_argument);
+  ExperimentRunner runner(2);
+  EXPECT_THROW((void)runner.run(spec), std::invalid_argument);
+  spec.shards = kMaxEngineShards;
+  EXPECT_NO_THROW((void)runner.run(spec));
 }
 
 // ---------------------------------------------------------------------------
