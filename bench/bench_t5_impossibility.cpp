@@ -75,7 +75,7 @@ int main() {
           BeaconLimits limits;
           limits.maxPhase = 40;
           const auto beacon =
-              runBeaconCounting(g, byz, BeaconAttackProfile::suppressor(), {}, limits, beaconRng)
+              runBeaconCounting(g, byz, BeaconAdversaryProfile::suppressor(), {}, limits, beaconRng)
                   .result;
           Rng sweepRng = trialRng.fork(3);
           const SweepCut cut = fiedlerSweep(g, 200, sweepRng);
@@ -116,7 +116,7 @@ int main() {
     spec.masterSeed = rowSeed(5, row++);
     const auto summary = runScenario(runner, spec.name, trials, [&](std::uint32_t index) {
       MaterializedTrial trial = materializeTrial(spec, index);
-      const auto out = runBeaconCounting(trial.graph, trial.byz, BeaconAttackProfile::none(), {},
+      const auto out = runBeaconCounting(trial.graph, trial.byz, BeaconAdversaryProfile::none(), {},
                                          {}, trial.runRng);
       TrialOutcome t = countingTrialOutcome(out.result, trial.byz, n);
       t.extra = {meanHonestEstimate(out.result, trial.byz), 0.0, 0.0};

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   // The path tamperer keeps an active adversary in every epoch without
   // pinning the estimate at the blacklist-exhaustion phase the way the
   // flooder does (see F2's saturation discussion).
-  spec.beaconAttack = BeaconAttackProfile::tamperer();
+  spec.beaconAdversary = BeaconAdversaryProfile::tamperer();
   spec.beaconLimits.maxPhase =
       static_cast<std::uint32_t>(std::ceil(std::log(static_cast<double>(n0)))) + 6;
   spec.churn = schedule;

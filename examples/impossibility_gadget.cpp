@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   limits.maxPhase = 40;
   Rng beaconRng(3);
   const auto beacon =
-      runBeaconCounting(gadget, byz, BeaconAttackProfile::suppressor(), {}, limits, beaconRng);
+      runBeaconCounting(gadget, byz, BeaconAdversaryProfile::suppressor(), {}, limits, beaconRng);
 
   Table table({"copy", "geometric est (ln-scale)", "beacon est (phase)", "nodes"});
   const NodeId perCopy = m - 1;

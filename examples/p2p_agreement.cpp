@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   spec.placement.kind = Placement::Random;
   spec.placement.count = byzCount;
   spec.protocol = ProtocolKind::Pipeline;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.pipelineParams.agreement.attack = attack;
   spec.pipelineParams.agreement.initialOnesFraction = 0.65;
   spec.pipelineParams.agreement.walkLengthFactor = 0.5;

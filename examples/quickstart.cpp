@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   BeaconParams params;  // paper defaults: gamma=0.55, delta=0.1, c1=4
   Rng runRng = rng.fork(2);
   const BeaconOutcome outcome = runBeaconCounting(
-      network, byz, BeaconAttackProfile::flooder(), params, BeaconLimits{}, runRng);
+      network, byz, BeaconAdversaryProfile::flooder(), params, BeaconLimits{}, runRng);
 
   // 4. Report.
   const double logN = std::log(static_cast<double>(n));

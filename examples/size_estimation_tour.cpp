@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     spec.protocol = ProtocolKind::Beacon;
     spec.beaconLimits.maxPhase = static_cast<std::uint32_t>(std::ceil(logN)) + 3;
     runPair("Algorithm 2 (beacons)", spec,
-            [](ScenarioSpec& s) { s.beaconAttack = BeaconAttackProfile::full(); },
+            [](ScenarioSpec& s) { s.beaconAdversary = BeaconAdversaryProfile::full(); },
             "constant factor, survives B(n)", 2);
   }
   table.print(std::cout);

@@ -40,7 +40,7 @@ struct BeaconFrame {
 };
 
 /// The delivery a transit hook gets to inspect: the first beacon in the
-/// Byzantine node's inbox (the one the legacy flag semantics relayed), with
+/// Byzantine node's inbox (the one a relaying strategy forwards), with
 /// the sender's true public ID — the unfakeable part a receiver would append.
 struct BeaconSighting {
   NodeId sender = kNoNode;
@@ -119,15 +119,14 @@ struct BeaconContext {
                                 ///< in serial contexts); reads go through the
                                 ///< frames' refs, which work across shards
   Coalition& coalition;
-  Rng& fakeRng;  ///< fabricated-ID stream (the legacy makeForgedBeacon stream)
+  Rng& fakeRng;  ///< fabricated-ID stream (origins and fabricated path IDs)
   BeaconAdversaryStats& stats;
   const BeaconObservables& obs;
 };
 
 /// Authors a beacon with a fabricated origin and `prefixLen` fabricated path
-/// IDs — the exact draw pattern (origin first, then prefix entries) of the
-/// legacy flag path, kept in one place so flag-era scenarios stay
-/// bit-identical through the gallery.
+/// IDs — one draw pattern (origin first, then prefix entries), kept in one
+/// place because the beacon goldens pin it.
 [[nodiscard]] BeaconFrame forgeFreshBeacon(const BeaconContext& ctx, std::uint32_t prefixLen);
 
 /// Strategy interface. One instance is created per trial and drives every

@@ -4,10 +4,10 @@
 // any caller of the beacon protocol) names an attack by kind plus strength
 // knobs, and the per-trial strategy instance is materialised by
 // makeBeaconAdversary (src/adversary/beacon/strategies.hpp). Only the knobs
-// of the selected kind are read. The legacy flag bundle
-// (counting/beacon/attacks.hpp) resolves into these profiles via
-// BeaconAttackProfile::toAdversaryProfile(), pinned bit-identical by the
-// golden fingerprints and the paired-run tests.
+// of the selected kind are read. This is the one profile type for the
+// counting stage: ScenarioSpec::beaconAdversary, the convenience overloads of
+// runBeaconCounting / runCountingThenAgreement and coalition subsets all
+// take it.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +19,15 @@ namespace bzc {
 
 enum class BeaconAttackKind : std::uint8_t {
   None,             ///< relay everything honestly, author nothing
-  Flooder,          ///< forge a fresh beacon at every Byzantine node, every iteration
+  Flooder,          ///< forge a fresh beacon at every Byzantine node, every
+                    ///< iteration — the attack blacklisting exists to stop (§1.3)
   TargetedFlooder,  ///< forge only within forgeRadius hops of the victim
   Tamperer,         ///< replace relayed beacons with freshly fabricated ones
-  Suppressor,       ///< drop all beacon and continue traffic
-  ContinueSpammer,  ///< originate continue messages forever
+                    ///< (Lemma 11's tampered-prefix case)
+  Suppressor,       ///< drop all beacon and continue traffic (pushes
+                    ///< neighbours toward early decisions)
+  ContinueSpammer,  ///< originate continue messages forever (decisions stay
+                    ///< correct, termination never comes; cf. Remark 3)
   Full,             ///< flooder + tamperer + continue spam
   AdaptiveFlooder,  ///< flooder that goes quiet for the rest of a phase once
                     ///< observed blacklist pressure crosses a tolerance

@@ -177,10 +177,8 @@ TrialOutcome runProtocolTrial(const ScenarioSpec& spec, const Graph& graph,
       return makeCoalitionBeaconAdversary(spec.coalitionPlan, assignment, trial.graph, trial.byz,
                                           victim);
     }
-    const BeaconAdversaryProfile profile = spec.beaconAdversary.kind != BeaconAttackKind::None
-                                               ? spec.beaconAdversary
-                                               : spec.beaconAttack.toAdversaryProfile();
-    return makeBeaconAdversary(anchorBeaconProfile(profile, victim), trial.graph, trial.byz);
+    return makeBeaconAdversary(anchorBeaconProfile(spec.beaconAdversary, victim), trial.graph,
+                               trial.byz);
   };
   const auto planExtras = [&](TrialOutcome& outcome, const PipelineOutcome* pipeline,
                               const AgreementOutcome& agreement) {

@@ -21,7 +21,6 @@
 #include "counting/baselines/geometric.hpp"
 #include "counting/baselines/spanning_tree.hpp"
 #include "counting/baselines/support_estimation.hpp"
-#include "counting/beacon/attacks.hpp"
 #include "counting/beacon/params.hpp"
 #include "counting/common.hpp"
 #include "counting/local/attacks.hpp"
@@ -117,11 +116,8 @@ struct ScenarioSpec {
   double byzGamma = 0.0;    ///< when > 0, count = byzantineBudget(n, byzGamma)
 
   ProtocolKind protocol = ProtocolKind::Beacon;
-  BeaconAttackProfile beaconAttack = BeaconAttackProfile::none();
-  /// Gallery-native counting-stage adversary (src/adversary/beacon/). A
-  /// non-None kind takes precedence over the legacy beaconAttack flags; the
-  /// default None leaves flag-era scenarios untouched (None and none() are
-  /// the same behaviour).
+  /// Counting-stage adversary (src/adversary/beacon/) for Beacon and the
+  /// pipeline's stage 1.
   BeaconAdversaryProfile beaconAdversary = BeaconAdversaryProfile::none();
   BeaconParams beaconParams;
   BeaconLimits beaconLimits;
@@ -140,13 +136,13 @@ struct ScenarioSpec {
   /// ln n of the trial's graph.
   double agreementEstimate = 0.0;
   /// Counting and agreement stage parameters for ProtocolKind::Pipeline
-  /// (beaconAttack above selects the stage-1 adversary).
+  /// (beaconAdversary above selects the stage-1 adversary).
   PipelineParams pipelineParams;
 
   /// Mixed-coalition axis (src/adversary/coalition_plan.hpp). An empty plan
   /// is inert. When enabled for Beacon/Agreement/Pipeline scenarios, the
   /// Byzantine budget is partitioned into subsets with per-subset stage
-  /// strategies (overriding beaconAttack/beaconAdversary and the agreement
+  /// strategies (overriding beaconAdversary and the agreement
   /// attack profile), all sharing one per-trial Coalition blackboard.
   CoalitionPlan coalitionPlan;
 

@@ -1,4 +1,4 @@
-// Tests for the §1.1 application: random-walk sampling, majority dynamics,
+// Tests for the §1.1 application: random-walk mixing, majority dynamics,
 // and the counting -> agreement pipeline — plus the statistical-equivalence
 // gates pinning the SyncEngine migration of the agreement layer.
 #include <gtest/gtest.h>
@@ -8,26 +8,13 @@
 
 #include "agreement/majority.hpp"
 #include "agreement/pipeline.hpp"
-#include "agreement/random_walk.hpp"
 #include "graph/generators.hpp"
 #include "runtime/experiment.hpp"
 #include "support/rng.hpp"
+#include "walk_mixing.hpp"
 
 namespace bzc {
 namespace {
-
-TEST(RandomWalk, StaysOnGraphAndFlagsByzantine) {
-  const Graph g = ring(10);
-  const ByzantineSet byz(10, {5});
-  Rng rng(1);
-  for (int i = 0; i < 50; ++i) {
-    const WalkSample s = sampleViaWalk(g, byz, 0, 3, rng);
-    EXPECT_LT(s.endpoint, 10u);
-  }
-  // A walk starting at a Byzantine node is compromised immediately.
-  const WalkSample s = sampleViaWalk(g, byz, 5, 0, rng);
-  EXPECT_TRUE(s.compromised);
-}
 
 TEST(RandomWalk, LongWalksMixOnExpander) {
   Rng gen(2);
@@ -152,7 +139,7 @@ TEST(Pipeline, CountingFeedsAgreement) {
   params.estimateSafetyFactor = 1.5;
   Rng rng(18);
   const auto out =
-      runCountingThenAgreement(g, byz, BeaconAttackProfile::flooder(), params, rng);
+      runCountingThenAgreement(g, byz, BeaconAdversaryProfile::flooder(), params, rng);
   // Counting produced workable estimates for most nodes...
   std::size_t decided = 0;
   for (NodeId u = 0; u < n; ++u) decided += out.counting.result.decisions[u].decided ? 1 : 0;
@@ -170,7 +157,7 @@ TEST(Pipeline, BenignEndToEnd) {
   const ByzantineSet none(n, {});
   PipelineParams params;
   Rng rng(20);
-  const auto out = runCountingThenAgreement(g, none, BeaconAttackProfile::none(), params, rng);
+  const auto out = runCountingThenAgreement(g, none, BeaconAdversaryProfile::none(), params, rng);
   EXPECT_TRUE(out.agreement.almostEverywhere(0.01));
   EXPECT_TRUE(out.counting.stats.quiesced);
   // Both stages are engine-metered; the pipeline totals must be their sum.
@@ -281,7 +268,7 @@ TEST(AgreementEquivalence, PipelineFlooderMatchesPreRefactor) {
   spec.placement.kind = Placement::Random;
   spec.placement.count = 6;
   spec.protocol = ProtocolKind::Pipeline;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.pipelineParams.agreement.initialOnesFraction = 0.7;
   spec.pipelineParams.agreement.walkLengthFactor = 0.5;
   spec.pipelineParams.estimateSafetyFactor = 1.5;

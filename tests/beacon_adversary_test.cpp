@@ -1,7 +1,6 @@
 // Tests for the beacon-adversary subsystem (src/adversary/beacon/) and the
-// mixed-coalition layer (src/adversary/coalition*): preset migration pinning
-// (every legacy BeaconAttackProfile preset == its gallery strategy,
-// bit-for-bit), the strategies the flag bundle cannot express, the
+// mixed-coalition layer (src/adversary/coalition*): per-preset golden
+// runs, the state-reactive strategies (adaptive flooder, prefix grafter), the
 // deterministic budget partition, cross-stage blackboard sharing, and
 // thread-count invariance of a mixed cross-stage coalition selected purely
 // from the ScenarioSpec.
@@ -40,15 +39,7 @@ struct BeaconRun {
     return {std::move(g), std::move(byz)};
   }
 
-  [[nodiscard]] BeaconOutcome runLegacy(const BeaconAttackProfile& attack) const {
-    BeaconLimits limits;
-    limits.maxPhase = 8;
-    limits.maxTotalRounds = 20'000;
-    Rng rng(72);
-    return runBeaconCounting(g, byz, attack, {}, limits, rng);
-  }
-
-  [[nodiscard]] BeaconOutcome runGallery(const BeaconAdversaryProfile& profile) const {
+  [[nodiscard]] BeaconOutcome run(const BeaconAdversaryProfile& profile) const {
     const auto adversary = makeBeaconAdversary(profile, g, byz);
     BeaconLimits limits;
     limits.maxPhase = 8;
@@ -58,83 +49,59 @@ struct BeaconRun {
   }
 };
 
-TEST(PresetMigration, EveryLegacyPresetMatchesItsGalleryStrategyBitForBit) {
+// The seven presets on the BeaconRun fixture. Recorded while the retired
+// flag-bundle profile still existed and was paired against each preset
+// bit-for-bit; the constants keep that pin for every preset.
+TEST(PresetGoldens, EveryPresetReproducesItsRecordedRun) {
   const BeaconRun fx = BeaconRun::make();
   const struct {
-    BeaconAttackProfile legacy;
-    BeaconAdversaryProfile gallery;
-  } pairs[] = {
-      {BeaconAttackProfile::none(), BeaconAdversaryProfile::none()},
-      {BeaconAttackProfile::flooder(), BeaconAdversaryProfile::flooder()},
-      {BeaconAttackProfile::tamperer(), BeaconAdversaryProfile::tamperer()},
-      {BeaconAttackProfile::suppressor(), BeaconAdversaryProfile::suppressor()},
-      {BeaconAttackProfile::continueSpammer(), BeaconAdversaryProfile::continueSpammer()},
-      {BeaconAttackProfile::full(), BeaconAdversaryProfile::full()},
-      {BeaconAttackProfile::targetedFlooder(7, 3),
-       BeaconAdversaryProfile::targetedFlooder(7, 3)},
+    BeaconAdversaryProfile profile;
+    std::uint64_t fingerprint;
+    std::uint64_t beaconsForged;
+    std::uint64_t blacklistInsertions;
+  } goldens[] = {
+      {BeaconAdversaryProfile::none(), 0x8adab1bce45cab5aULL, 0, 979},
+      {BeaconAdversaryProfile::flooder(), 0xeaf6d78d964ee7cfULL, 1000, 22042},
+      {BeaconAdversaryProfile::tamperer(), 0x152a7bedadb8f26aULL, 195, 988},
+      {BeaconAdversaryProfile::suppressor(), 0xbf92364d8db3edf0ULL, 0, 989},
+      {BeaconAdversaryProfile::continueSpammer(), 0xdef33fced8a8f8c6ULL, 0, 979},
+      {BeaconAdversaryProfile::full(), 0xfa19faa7db35a829ULL, 7530, 22932},
+      {BeaconAdversaryProfile::targetedFlooder(7, 3), 0xb756bc56f8d208d4ULL, 800, 18410},
   };
-  for (const auto& [legacy, gallery] : pairs) {
-    const BeaconOutcome viaLegacy = fx.runLegacy(legacy);
-    const BeaconOutcome viaGallery = fx.runGallery(gallery);
-    const NodeId n = fx.g.numNodes();
-    EXPECT_EQ(fingerprint(viaLegacy.result, n), fingerprint(viaGallery.result, n))
-        << legacy.name << " diverged from gallery strategy " << gallery.name;
-    EXPECT_EQ(viaLegacy.stats.beaconsForged, viaGallery.stats.beaconsForged) << legacy.name;
-    EXPECT_EQ(viaLegacy.stats.blacklistInsertions, viaGallery.stats.blacklistInsertions)
-        << legacy.name;
+  for (const auto& golden : goldens) {
+    const BeaconOutcome out = fx.run(golden.profile);
+    EXPECT_EQ(fingerprint(out.result, fx.g.numNodes()), golden.fingerprint)
+        << golden.profile.name;
+    EXPECT_EQ(out.stats.beaconsForged, golden.beaconsForged) << golden.profile.name;
+    EXPECT_EQ(out.stats.blacklistInsertions, golden.blacklistInsertions) << golden.profile.name;
   }
 }
 
-TEST(PresetMigration, ShimResolvesEachPresetToItsKind) {
-  EXPECT_EQ(BeaconAttackProfile::none().toAdversaryProfile().kind, BeaconAttackKind::None);
-  EXPECT_EQ(BeaconAttackProfile::flooder().toAdversaryProfile().kind, BeaconAttackKind::Flooder);
-  EXPECT_EQ(BeaconAttackProfile::tamperer().toAdversaryProfile().kind,
-            BeaconAttackKind::Tamperer);
-  EXPECT_EQ(BeaconAttackProfile::suppressor().toAdversaryProfile().kind,
-            BeaconAttackKind::Suppressor);
-  EXPECT_EQ(BeaconAttackProfile::continueSpammer().toAdversaryProfile().kind,
-            BeaconAttackKind::ContinueSpammer);
-  EXPECT_EQ(BeaconAttackProfile::full().toAdversaryProfile().kind, BeaconAttackKind::Full);
-  const BeaconAdversaryProfile targeted =
-      BeaconAttackProfile::targetedFlooder(42, 3).toAdversaryProfile();
-  EXPECT_EQ(targeted.kind, BeaconAttackKind::TargetedFlooder);
-  EXPECT_EQ(targeted.victim, 42u);
-  EXPECT_EQ(targeted.forgeRadius, 3u);
-  // The legacy name rides along so tables and JSON rows keep their labels.
-  EXPECT_EQ(BeaconAttackProfile::continueSpammer().toAdversaryProfile().name,
-            "continue-spammer");
-  // Ad-hoc flag combinations outside the preset space are rejected.
-  BeaconAttackProfile adHoc;
-  adHoc.forgeBeacons = true;
-  adHoc.relayBeacons = false;
-  EXPECT_THROW((void)adHoc.toAdversaryProfile(), std::invalid_argument);
-}
-
-TEST(PresetMigration, StrategyStatsExposeTheBehaviourSignatures) {
+TEST(PresetStrategies, StatsExposeTheBehaviourSignatures) {
   const BeaconRun fx = BeaconRun::make();
-  const BeaconOutcome suppressed = fx.runGallery(BeaconAdversaryProfile::suppressor());
+  const BeaconOutcome suppressed = fx.run(BeaconAdversaryProfile::suppressor());
   EXPECT_GT(suppressed.stats.adversary.relaysSuppressed, 0u);
   EXPECT_GT(suppressed.stats.adversary.continuesSuppressed, 0u);
   EXPECT_EQ(suppressed.stats.adversary.beaconsForged, 0u);
 
-  const BeaconOutcome tampered = fx.runGallery(BeaconAdversaryProfile::tamperer());
+  const BeaconOutcome tampered = fx.run(BeaconAdversaryProfile::tamperer());
   EXPECT_GT(tampered.stats.adversary.relaysTampered, 0u);
   EXPECT_EQ(tampered.stats.adversary.relaysTampered, tampered.stats.adversary.beaconsForged);
 
-  const BeaconOutcome spammed = fx.runGallery(BeaconAdversaryProfile::continueSpammer());
+  const BeaconOutcome spammed = fx.run(BeaconAdversaryProfile::continueSpammer());
   EXPECT_GT(spammed.stats.adversary.continuesSpammed, 0u);
   EXPECT_EQ(spammed.stats.adversary.beaconsForged, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// The strategies the flag bundle cannot express.
+// Strategies that react to protocol state.
 // ---------------------------------------------------------------------------
 
 TEST(AdaptiveFlooder, UnreachableToleranceIsThePlainFlooderBitForBit) {
   const BeaconRun fx = BeaconRun::make();
-  const BeaconOutcome plain = fx.runGallery(BeaconAdversaryProfile::flooder());
+  const BeaconOutcome plain = fx.run(BeaconAdversaryProfile::flooder());
   const BeaconOutcome adaptive =
-      fx.runGallery(BeaconAdversaryProfile::adaptiveFlooder(~0ULL));
+      fx.run(BeaconAdversaryProfile::adaptiveFlooder(~0ULL));
   EXPECT_EQ(fingerprint(plain.result, fx.g.numNodes()),
             fingerprint(adaptive.result, fx.g.numNodes()));
   EXPECT_EQ(plain.stats.beaconsForged, adaptive.stats.beaconsForged);
@@ -145,9 +112,9 @@ TEST(AdaptiveFlooder, BlacklistPressureThrottlesForgingMonotonically) {
   const BeaconRun fx = BeaconRun::make();
   // Tolerance 0 backs off the moment the defence reacts; loosening the
   // tolerance monotonically restores forging, up to the plain flooder.
-  const BeaconOutcome tight = fx.runGallery(BeaconAdversaryProfile::adaptiveFlooder(0));
-  const BeaconOutcome mid = fx.runGallery(BeaconAdversaryProfile::adaptiveFlooder(400));
-  const BeaconOutcome loose = fx.runGallery(BeaconAdversaryProfile::adaptiveFlooder(~0ULL));
+  const BeaconOutcome tight = fx.run(BeaconAdversaryProfile::adaptiveFlooder(0));
+  const BeaconOutcome mid = fx.run(BeaconAdversaryProfile::adaptiveFlooder(400));
+  const BeaconOutcome loose = fx.run(BeaconAdversaryProfile::adaptiveFlooder(~0ULL));
   EXPECT_GT(tight.stats.adversary.pressureBackoffs, 0u);
   EXPECT_LT(tight.stats.beaconsForged, loose.stats.beaconsForged);
   EXPECT_LE(tight.stats.beaconsForged, mid.stats.beaconsForged);
@@ -156,12 +123,12 @@ TEST(AdaptiveFlooder, BlacklistPressureThrottlesForgingMonotonically) {
 
 TEST(PrefixGrafter, SplicesHonestPrefixesInsteadOfFreshIds) {
   const BeaconRun fx = BeaconRun::make();
-  const BeaconOutcome grafted = fx.runGallery(BeaconAdversaryProfile::prefixGrafter());
-  const BeaconOutcome tampered = fx.runGallery(BeaconAdversaryProfile::tamperer());
+  const BeaconOutcome grafted = fx.run(BeaconAdversaryProfile::prefixGrafter());
+  const BeaconOutcome tampered = fx.run(BeaconAdversaryProfile::tamperer());
   // The grafter replaces relays like the tamperer...
   EXPECT_GT(grafted.stats.adversary.relaysTampered, 0u);
-  // ...but carries real honest IDs into its forged prefixes, which the flag
-  // bundle (fresh fabricated IDs only) cannot do.
+  // ...but carries real honest IDs into its forged prefixes, where the
+  // tamperer fabricates fresh IDs only.
   EXPECT_GT(grafted.stats.adversary.prefixGrafts, 0u);
   EXPECT_EQ(tampered.stats.adversary.prefixGrafts, 0u);
   EXPECT_NE(fingerprint(grafted.result, fx.g.numNodes()),
@@ -388,7 +355,7 @@ TEST(Profiles, BeaconNamesAndKnobsRoundTrip) {
   EXPECT_EQ(BeaconAdversaryProfile::adaptiveFlooder(17).pressureTolerance, 17u);
   EXPECT_EQ(BeaconAdversaryProfile::prefixGrafter(4).graftLength, 4u);
   EXPECT_EQ(BeaconAdversaryProfile::adaptiveFlooder().name, "adaptive-flooder");
-  // The spec-level gallery profile wins over the legacy flags only when set.
+  // A default spec runs the honest counting stage.
   ScenarioSpec spec;
   EXPECT_EQ(spec.beaconAdversary.kind, BeaconAttackKind::None);
 }

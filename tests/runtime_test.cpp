@@ -27,18 +27,18 @@ namespace {
 
 TEST(GoldenMigration, BeaconMatchesPreRefactorDecisions) {
   EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                      BeaconAttackProfile::none(), 0),
+                                      BeaconAdversaryProfile::none(), 0),
             0x01ad738b6673bf86ULL);
   EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                      BeaconAttackProfile::flooder(), 10),
+                                      BeaconAdversaryProfile::flooder(), 10),
             0x29553b28fa4d5ddcULL);
   // FirstSeen resolves ties by inbox position, so this one pins the engine's
   // delivery-order contract, not just the protocol logic.
-  EXPECT_EQ(
-      golden::beaconFingerprint(BeaconChoicePolicy::FirstSeen, BeaconAttackProfile::flooder(), 10),
-      0xf3b6aab96a9aed6cULL);
+  EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::FirstSeen,
+                                      BeaconAdversaryProfile::flooder(), 10),
+            0xf3b6aab96a9aed6cULL);
   EXPECT_EQ(golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
-                                      BeaconAttackProfile::full(), 10),
+                                      BeaconAdversaryProfile::full(), 10),
             0xe7cb8414934dcdefULL);
 }
 
@@ -70,8 +70,8 @@ TEST(GoldenMigration, AgreementOnEngineIsPinned) {
 }
 
 TEST(GoldenMigration, PipelineOnEngineIsPinned) {
-  EXPECT_EQ(golden::pipelineFingerprint(BeaconAttackProfile::none(), 0), 0xf702f76c8582c57bULL);
-  EXPECT_EQ(golden::pipelineFingerprint(BeaconAttackProfile::flooder(), 8),
+  EXPECT_EQ(golden::pipelineFingerprint(BeaconAdversaryProfile::none(), 0), 0xf702f76c8582c57bULL);
+  EXPECT_EQ(golden::pipelineFingerprint(BeaconAdversaryProfile::flooder(), 8),
             0x559fbf52906663baULL);
 }
 
@@ -298,7 +298,7 @@ TEST(ExperimentRunner, BeaconScenarioParallelTrialsAggregates) {
   spec.placement.kind = Placement::Random;
   spec.byzGamma = 0.55;
   spec.protocol = ProtocolKind::Beacon;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.beaconLimits.maxPhase = 8;
   spec.beaconLimits.maxTotalRounds = 20'000;
   spec.trials = 32;
@@ -315,6 +315,8 @@ TEST(ExperimentRunner, BeaconScenarioParallelTrialsAggregates) {
 
   ExperimentRunner serial(1);
   EXPECT_EQ(serial.run(spec).combinedFingerprint, summary.combinedFingerprint);
+  // Pins the spec's adversary resolution, not just thread invariance.
+  EXPECT_EQ(summary.combinedFingerprint, 0x9775ba3eb1544c3cULL);
 }
 
 TEST(ExperimentRunner, PipelineScenarioThreadCountInvariant) {
@@ -328,7 +330,7 @@ TEST(ExperimentRunner, PipelineScenarioThreadCountInvariant) {
   spec.placement.kind = Placement::Random;
   spec.placement.count = 4;
   spec.protocol = ProtocolKind::Pipeline;
-  spec.beaconAttack = BeaconAttackProfile::flooder();
+  spec.beaconAdversary = BeaconAdversaryProfile::flooder();
   spec.pipelineParams.agreement.initialOnesFraction = 0.7;
   spec.pipelineParams.agreement.walkLengthFactor = 0.5;
   spec.pipelineParams.estimateSafetyFactor = 1.5;
@@ -348,6 +350,8 @@ TEST(ExperimentRunner, PipelineScenarioThreadCountInvariant) {
     EXPECT_EQ(byThreads[0].combinedFingerprint, byThreads[t].combinedFingerprint)
         << "pipeline diverged at " << counts[t] << " threads";
   }
+  // Pins the spec's adversary resolution, not just thread invariance.
+  EXPECT_EQ(byThreads[0].combinedFingerprint, 0x449a72c89ae72997ULL);
   // The agreement-stage metrics come through the declarative extras.
   ASSERT_EQ(byThreads[0].extras.size(), static_cast<std::size_t>(kAgreementExtraSlots));
   EXPECT_GT(byThreads[0].extras[kAgreementFracAgreeing].mean, 0.5);
