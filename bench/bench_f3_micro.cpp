@@ -7,7 +7,6 @@
 
 #include <cstdint>
 
-#include "counting/beacon/path.hpp"
 #include "counting/beacon/protocol.hpp"
 #include "counting/local/view.hpp"
 #include "graph/expansion.hpp"
@@ -16,6 +15,7 @@
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
+#include "support/path_arena.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -44,13 +44,15 @@ void BM_HndGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_HndGenerate)->Arg(1024)->Arg(4096);
 
-void BM_BeaconPathArenaAppendWalk(benchmark::State& state) {
-  BeaconPathArena arena;
+// One beacon path's life in PathArena<PublicId>: 16 hops pushed, then the
+// Line 20 prefix walk. Walk tokens use the same code as PathArena<NodeId>.
+void BM_PathArenaPushWalk(benchmark::State& state) {
+  PathArena<PublicId> arena;
   Rng rng(4);
   for (auto _ : state) {
     arena.clear();
-    BeaconPathRef p = kNoBeaconPath;
-    for (int i = 0; i < 16; ++i) p = arena.append(p, rng.next());
+    PathRef p = kNoPath;
+    for (int i = 0; i < 16; ++i) p = arena.push(0, rng.next(), p);
     std::uint64_t acc = 0;
     arena.walkPrefix(p, 2, [&](PublicId id) {
       acc ^= id;
@@ -59,7 +61,7 @@ void BM_BeaconPathArenaAppendWalk(benchmark::State& state) {
     benchmark::DoNotOptimize(acc);
   }
 }
-BENCHMARK(BM_BeaconPathArenaAppendWalk);
+BENCHMARK(BM_PathArenaPushWalk);
 
 void BM_BeaconBenignRun(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

@@ -16,8 +16,8 @@
 #include <cstdint>
 
 #include "adversary/walk_adversary.hpp"  // Coalition: the cross-stage blackboard
-#include "counting/beacon/path.hpp"
 #include "graph/graph.hpp"
+#include "support/path_arena.hpp"
 #include "support/rng.hpp"
 #include "support/types.hpp"
 
@@ -25,11 +25,11 @@ namespace bzc {
 
 /// A beacon message as the adversary sees it: origin ID plus the path *as
 /// sent* (the receiver appends the sender's unfakeable ID). The path lives in
-/// the iteration's BeaconPathArena, exactly like the protocol's own payloads,
+/// the iteration's PathArena<PublicId>, exactly like the protocol's own payloads,
 /// so strategies can build on received prefixes at O(1) per appended ID.
 struct BeaconFrame {
   PublicId origin = kNoPublicId;
-  BeaconPathRef path = kNoBeaconPath;
+  PathRef path = kNoPath;
   std::uint32_t len = 0;       ///< number of IDs on `path`
   NodeId forgeNode = kNoNode;  ///< provenance: Byzantine author/tamperer of this
                                ///< payload (kNoNode = honest-authored). Simulation
@@ -115,9 +115,10 @@ struct BeaconContext {
   NodeId node = kNoNode;  ///< Byzantine node acting
   Round round = 0;        ///< window round for transit hooks; 0 at boundaries
   const Graph& graph;
-  BeaconPathArena::Lane arena;  ///< append lane for the acting shard (shard 0
-                                ///< in serial contexts); reads go through the
-                                ///< frames' refs, which work across shards
+  PathArena<PublicId>& arena;  ///< the iteration's beacon paths
+  unsigned shard = 0;  ///< acting shard: strategies push into this lane only
+                       ///< (shard 0 in serial contexts); refs from any lane
+                       ///< are readable
   Coalition& coalition;
   Rng& fakeRng;  ///< fabricated-ID stream (origins and fabricated path IDs)
   BeaconAdversaryStats& stats;

@@ -14,7 +14,7 @@ BeaconFrame forgeFreshBeacon(const BeaconContext& ctx, std::uint32_t prefixLen) 
   BeaconFrame forged;
   forged.origin = ctx.fakeRng.next();
   for (std::uint32_t k = 0; k < prefixLen; ++k) {
-    forged.path = ctx.arena.append(forged.path, ctx.fakeRng.next());
+    forged.path = ctx.arena.push(ctx.shard, ctx.fakeRng.next(), forged.path);
   }
   forged.len = prefixLen;
   return forged;
@@ -176,10 +176,10 @@ class PrefixGraftingTamperer final : public BeaconAdversary {
   BeaconTransit onBeaconRelay(const BeaconContext& ctx, const BeaconSighting& first) override {
     BeaconFrame grafted;
     grafted.origin = ctx.fakeRng.next();
-    grafted.path = ctx.arena.append(first.frame.path, first.senderId);
+    grafted.path = ctx.arena.push(ctx.shard, first.senderId, first.frame.path);
     grafted.len = first.frame.len + 1;
     for (std::uint32_t k = 0; k < graftLength_; ++k) {
-      grafted.path = ctx.arena.append(grafted.path, ctx.fakeRng.next());
+      grafted.path = ctx.arena.push(ctx.shard, ctx.fakeRng.next(), grafted.path);
       ++grafted.len;
     }
     ctx.stats.prefixGrafts += first.frame.len + 1;  // real IDs carried into the graft

@@ -16,9 +16,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "adversary/token_arena.hpp"
 #include "graph/graph.hpp"
 #include "sim/byzantine.hpp"
+#include "support/path_arena.hpp"
 #include "support/rng.hpp"
 #include "support/types.hpp"
 
@@ -46,7 +46,7 @@ struct WalkToken {
   std::uint64_t provId = 0;    ///< provenance: unique token id linking the launch
                                ///< mark to the answer/drop mark (Chrome flow events)
   std::uint32_t hopsLeft = 0;  ///< outbound hops still to take
-  PathRef path = kNullPath;    ///< reverse route, arena-pooled (O(1) token copy)
+  PathRef path = kNoPath;      ///< reverse route, arena-pooled (O(1) token copy)
   Rng stream{};                ///< this token's private forwarding stream; the NSDMI
                                ///< keeps the aggregate default-constructible (the
                                ///< engine's inbox arena value-initializes slots)
@@ -127,7 +127,6 @@ struct WalkContext {
                           ///< the transit hooks; possibly honest for forgeAnswer)
   Round round = 0;
   const Graph& graph;
-  PathArena& arena;
   std::size_t honestOnes = 0;   ///< honest nodes currently holding 1
   std::size_t honestCount = 0;  ///< honest population
   NodeId victim = 0;            ///< scenario focus node (placement victim)

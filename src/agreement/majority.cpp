@@ -76,7 +76,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
 
   Engine engine(g, byz, 0, params.shards);
   const unsigned S = engine.shardCount();
-  PathArena arena(S);
+  PathArena<NodeId> arena(S);
   // Trial-local blackboard and profile-selected strategy unless the caller
   // injected them (mixed coalitions, cross-stage collusion — DESIGN.md §9).
   Coalition localCoalition;
@@ -100,27 +100,21 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
   // count, which lets sharding_test pin the drawing strategies (tamperer,
   // fractional dropper/flipper) alongside the draw-free class. Honest nodes
   // need streams too: forgeAnswer fires wherever a tainted token ends its
-  // walk. Stats stay per-shard and are summed after the run (sums are
-  // shard-order invariant).
+  // walk. Stats go to one lane per shard at every S and are summed after
+  // the run (sums are shard-order invariant).
   std::vector<Rng> recvRng(n);
-  std::vector<AdversaryStats> statsLane(S > 1 ? S : 0);
-  const auto statsAt = [&](unsigned s) -> AdversaryStats& {
-    return S > 1 ? statsLane[s] : out.adversary;
-  };
+  std::vector<AdversaryStats> statsLane(S);
   struct SampleCounters {
     std::uint64_t answered = 0;
     std::uint64_t compromised = 0;
   };
   std::vector<SampleCounters> counterLane(S);
 
-  // Blame-graph lanes (DESIGN.md §14), mirroring statsLane: shard-parallel
-  // phases record keyed edges into their own graph, merged at the end (keyed
-  // sums are shard-order invariant). Collection is unconditional — no RNG, no
-  // control flow change — so goldens are identical attribution on or off.
-  std::vector<obs::BlameGraph> blameLane(S > 1 ? S : 0);
-  const auto blameAt = [&](unsigned s) -> obs::BlameGraph& {
-    return S > 1 ? blameLane[s] : out.blame;
-  };
+  // Blame-graph lanes (DESIGN.md §14), mirroring statsLane: each shard
+  // records keyed edges into its own graph, merged at the end (keyed sums are
+  // shard-order invariant). Collection is unconditional — no RNG, no control
+  // flow change — so goldens are identical attribution on or off.
+  std::vector<obs::BlameGraph> blameLane(S);
   // Per-origin compromised-sample records for the wrong-decision
   // counterfactual: written only at the origin accept (v is shard-owned, so
   // race-free), read in the serial decision loop. At most 2 samples/node.
@@ -148,13 +142,13 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
     // omniscient about honest state); values only commit at window end, so
     // this is constant within an iteration.
     const auto ctxAt = [&](NodeId at) {
-      return WalkContext{at,     w,         g,      arena, curOnes, honest,
-                         params.victim, coalition, recvRng[at], statsAt(shard)};
+      return WalkContext{at,        w,           g, curOnes, honest, params.victim,
+                         coalition, recvRng[at], statsLane[shard]};
     };
     for (const Engine::Delivery& d : box) {
       WalkToken t = d.payload;  // O(1): the reverse path lives in the arena
       if (t.answering) {
-        if (t.path == kNullPath) {
+        if (t.path == kNoPath) {
           // End of the recorded route: only the origin accepts the answer
           // (misrouted answers carry a foreign origin ID and are discarded).
           if (t.origin == v) {
@@ -166,7 +160,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
               // Blame the first Byzantine actor that touched this token, and
               // remember the sample for the serial wrong-decision
               // counterfactual (v is shard-owned: no race).
-              blameAt(shard).add(obs::BlameKind::CompromisedSample,
+              blameLane[shard].add(obs::BlameKind::CompromisedSample,
                                  t.taintNode == kNoNode ? obs::kBlameNone : t.taintNode, v);
               compCause[2 * static_cast<std::size_t>(v) + compCnt[v]] = t.taintNode;
               compOnes[v] = static_cast<std::uint8_t>(compOnes[v] + t.answer);
@@ -174,8 +168,8 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
             }
             if (flowMarks) markLane[shard].push_back({t.provId, w, true});
           } else {
-            ++statsAt(shard).strayAnswers;
-            blameAt(shard).add(obs::BlameKind::StrayAnswer,
+            ++statsLane[shard].strayAnswers;
+            blameLane[shard].add(obs::BlameKind::StrayAnswer,
                                t.taintNode == kNoNode ? obs::kBlameNone : t.taintNode,
                                t.origin);
             if (flowMarks) markLane[shard].push_back({t.provId, w, false});
@@ -188,10 +182,10 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
           const TokenAction act = strategy.onAnswerRelay(ctxAt(v), t);
           if (!wasCompromised && t.compromised && t.taintNode == kNoNode) t.taintNode = v;
           if (t.answer != wasAnswer)
-            blameAt(shard).add(obs::BlameKind::FlippedAnswer, v, t.origin);
+            blameLane[shard].add(obs::BlameKind::FlippedAnswer, v, t.origin);
           if (act.op == TokenAction::Op::Drop) {
-            ++statsAt(shard).droppedAnswers;
-            blameAt(shard).add(obs::BlameKind::DroppedAnswer, v, t.origin);
+            ++statsLane[shard].droppedAnswers;
+            blameLane[shard].add(obs::BlameKind::DroppedAnswer, v, t.origin);
             if (flowMarks) markLane[shard].push_back({t.provId, w, false});
             continue;
           }
@@ -200,16 +194,16 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
             // arrives at the target with no path left and is accepted only
             // if the target happens to be its origin.
             BZC_ASSERT(g.hasEdge(v, act.target));
-            blameAt(shard).add(obs::BlameKind::MisroutedAnswer, v, t.origin);
+            blameLane[shard].add(obs::BlameKind::MisroutedAnswer, v, t.origin);
             if (t.taintNode == kNoNode) t.taintNode = v;
-            t.path = kNullPath;
+            t.path = kNoPath;
             lane.unicast(v, act.target, std::move(t), kAnswerBits);
             continue;
           }
         }
-        BZC_ASSERT(arena.node(t.path) == v);
+        BZC_ASSERT(arena.id(t.path) == v);
         t.path = arena.prev(t.path);
-        const NodeId next = t.path == kNullPath ? t.origin : arena.node(t.path);
+        const NodeId next = t.path == kNoPath ? t.origin : arena.id(t.path);
         lane.unicast(v, next, std::move(t), kAnswerBits);
         continue;
       }
@@ -219,8 +213,8 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
         BZC_ASSERT(act.op != TokenAction::Op::Redirect);  // queries follow their walk
         if (!wasCompromised && t.compromised && t.taintNode == kNoNode) t.taintNode = v;
         if (act.op == TokenAction::Op::Drop) {
-          ++statsAt(shard).droppedQueries;
-          blameAt(shard).add(obs::BlameKind::DroppedQuery, v, t.origin);
+          ++statsLane[shard].droppedQueries;
+          blameLane[shard].add(obs::BlameKind::DroppedQuery, v, t.origin);
           if (flowMarks) markLane[shard].push_back({t.provId, w, false});
           continue;
         }
@@ -236,14 +230,14 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
           if (t.taintNode == kNoNode) t.taintNode = v;  // untainted: the endpoint is byz
           t.answer = strategy.forgeAnswer(ctxAt(v), t);
           t.compromised = true;
-          ++statsAt(shard).forgedAnswers;
-          blameAt(shard).add(obs::BlameKind::ForgedAnswer, t.taintNode, t.origin);
+          ++statsLane[shard].forgedAnswers;
+          blameLane[shard].add(obs::BlameKind::ForgedAnswer, t.taintNode, t.origin);
         } else {
           t.answer = value[v];
         }
-        BZC_ASSERT(t.path != kNullPath && arena.node(t.path) == v);
+        BZC_ASSERT(t.path != kNoPath && arena.id(t.path) == v);
         t.path = arena.prev(t.path);
-        const NodeId next = t.path == kNullPath ? t.origin : arena.node(t.path);
+        const NodeId next = t.path == kNoPath ? t.origin : arena.id(t.path);
         lane.unicast(v, next, std::move(t), kAnswerBits);
       } else {
         const auto nbrs = g.neighbors(v);
@@ -272,7 +266,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
     }
     if (!any) break;
     // Every push may land in one shard's lane, so one lane must hold them all.
-    BZC_REQUIRE(arenaDemand <= PathArena::laneCapacity(),
+    BZC_REQUIRE(arenaDemand <= PathArena<NodeId>::laneCapacity(),
                 "walk lengths exceed the path arena; lower the log n estimate");
     const std::int64_t iterT0 = trace != nullptr ? obs::traceClockNs() : 0;
 
@@ -303,7 +297,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
             walkBase.fork((static_cast<std::uint64_t>(it) << 33) ^ (static_cast<std::uint64_t>(u) << 1) ^ s);
         const NodeId first = nbrs[t.stream.uniform(nbrs.size())];
         --t.hopsLeft;
-        t.path = arena.push(first, kNullPath);
+        t.path = arena.push(0, first, kNoPath);
         if (flowMarks)
           trace->mark("walk.launch", static_cast<double>(t.provId), engine.round());
         engine.unicast(u, first, std::move(t), kWalkTokenBits);
@@ -370,8 +364,8 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
       trace->counter("agreement.tokensLaunched", static_cast<double>(launched), engine.round());
       trace->counter("agreement.maxWalkLen", static_cast<double>(maxLen), engine.round());
       trace->counter("agreement.ones", static_cast<double>(curOnes), engine.round());
-      // Running totals: the serial slot plus the not-yet-reduced shard lanes
-      // (sums are shard-order invariant).
+      // Running totals over the not-yet-reduced shard lanes (sums are
+      // shard-order invariant).
       SampleCounters samples;
       for (const SampleCounters& c : counterLane) {
         samples.answered += c.answered;
@@ -381,7 +375,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
                      engine.round());
       trace->counter("agreement.compromised", static_cast<double>(samples.compromised),
                      engine.round());
-      AdversaryStats adv = out.adversary;
+      AdversaryStats adv;
       for (const AdversaryStats& st : statsLane) adv.accumulate(st);
       trace->counter("agreement.adversary.forged", static_cast<double>(adv.forgedAnswers),
                      engine.round());

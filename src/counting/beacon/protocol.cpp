@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "adversary/beacon/strategies.hpp"
-#include "counting/beacon/path.hpp"
 #include "runtime/sync_engine.hpp"
+#include "support/path_arena.hpp"
 #include "support/require.hpp"
 
 namespace bzc {
@@ -31,7 +31,7 @@ using Engine = SyncEngine<BeaconFrame>;
 /// Line 21 check for the received message ⟨beacon, o, Q⟩ from `senderPub`:
 /// S = all but the last `suffix` entries of Q' = Q + [sender] must avoid BL.
 [[nodiscard]] bool pathAcceptable(const std::unordered_set<PublicId>& bl,
-                                  const BeaconPathArena& arena, const BeaconFrame& beacon,
+                                  const PathArena<PublicId>& arena, const BeaconFrame& beacon,
                                   PublicId senderPub, std::uint32_t suffix) {
   if (bl.empty()) return true;
   if (suffix == 0 && bl.count(senderPub) > 0) return false;
@@ -92,7 +92,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
   RunState st(n);
   Engine engine(g, byz, maxRounds, limits.shards);
   const unsigned S = engine.shardCount();
-  BeaconPathArena arena(S);
+  PathArena<PublicId> arena(S);
 
   std::size_t undecidedHonest = n - byz.count();
 
@@ -122,40 +122,40 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
   // refreshes its own fork per (phase, iteration) and consumes it in its
   // canonical inbox order, so recv-drawing strategies (tamperer, grafter,
   // full) are shard-count *invariant*, not merely deterministic per count
-  // (sharding_test pins the full gallery). Stats stay per-shard; sums are
-  // shard-order invariant.
+  // (sharding_test pins the full gallery). Stats from shard s go to lane s
+  // at every S (one lane at S = 1) and are reduced once after the run; sums
+  // are shard-order invariant.
   constexpr unsigned kSerialSlot = ~0u;
   const Rng recvBase = fakeRng.fork(0xbe4c);  // fixed recv-stream tag
   std::vector<Rng> recvRng(n);
-  std::vector<BeaconAdversaryStats> advLane(S > 1 ? S : 0);
+  std::vector<BeaconAdversaryStats> advLane(S);
   const auto fakeAt = [&](NodeId at, unsigned s) -> Rng& {
     return s == kSerialSlot ? fakeRng : recvRng[at];
   };
   const auto advStatsAt = [&](unsigned s) -> BeaconAdversaryStats& {
-    return (S > 1 && s != kSerialSlot) ? advLane[s] : out.stats.adversary;
+    return s == kSerialSlot ? out.stats.adversary : advLane[s];
   };
   // Blame-graph lanes (DESIGN.md §14), routed exactly like advStatsAt:
   // serial-context edges (forge boundary, continue spam) go straight to
-  // out.blame, shard-parallel edges to per-shard graphs merged at the end
-  // (keyed sums are shard-order invariant). Collection is unconditional and
-  // reads committed state only, so goldens are identical attribution on/off.
-  std::vector<bzc::obs::BlameGraph> blameLane(S > 1 ? S : 0);
+  // out.blame, shard edges to per-shard graphs merged at the end (keyed sums
+  // are shard-order invariant). Collection is unconditional and reads
+  // committed state only, so goldens are identical attribution on/off.
+  std::vector<bzc::obs::BlameGraph> blameLane(S);
   const auto blameAt = [&](unsigned s) -> bzc::obs::BlameGraph& {
-    return (S > 1 && s != kSerialSlot) ? blameLane[s] : out.blame;
+    return s == kSerialSlot ? out.blame : blameLane[s];
   };
   // Line 32 insertions off honest-authored shortest paths: the collateral
   // the blame graph cannot pin on a cause; reconciled as
   // attributed + untainted == blacklistInsertions.
   std::uint64_t untaintedInsertions = 0;
   const auto ctxAt = [&](NodeId at, Round r, unsigned s) {
-    return BeaconContext{at,    r, g, arena.lane((S > 1 && s != kSerialSlot) ? s : 0u),
+    return BeaconContext{at,    r,     g, arena, s == kSerialSlot ? 0u : s,
                          board, fakeAt(at, s), advStatsAt(s), obs};
   };
 
   bool capped = false;
   for (std::uint32_t phase = params.firstPhase; phase <= maxPhase && !capped;
        phase = params.nextPhase(phase)) {
-    out.stats.lastPhase = phase;
     // Line 2: reset the phase blacklist (kept only where it is consulted:
     // undecided honest nodes; decided re-entrants never read theirs).
     for (NodeId u = 0; u < n; ++u) {
@@ -178,6 +178,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
       out.stats.quiesced = true;
       break;
     }
+    out.stats.lastPhase = phase;
 
     for (std::uint32_t iter = 1; iter <= iterations && !capped; ++iter) {
       if (engine.wouldExceed(BeaconParams::roundsPerIteration(phase))) {
@@ -222,7 +223,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
         if (!st.participating[u]) continue;
         const double p = params.activationProbability(phase, g.degree(u));
         if (actRng.bernoulli(p)) {
-          engine.broadcast(u, BeaconFrame{ids.publicId(u), kNoBeaconPath, 0}, beaconBits(0));
+          engine.broadcast(u, BeaconFrame{ids.publicId(u), kNoPath, 0}, beaconBits(0));
           st.hasShortest[u] = 1;  // Line 7: shortestPath <- (u)
           st.ownBeacon[u] = 1;
           ++out.stats.beaconsGenerated;
@@ -261,7 +262,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
             } else {
               // Honest-looking relay: append the sender's unfakeable ID.
               fwd = in.payload;
-              fwd.path = arena.append(shard, fwd.path, ids.publicId(in.sender));
+              fwd.path = arena.push(shard, ids.publicId(in.sender), fwd.path);
               ++fwd.len;
             }
             lane.broadcast(v, fwd, beaconBits(fwd.len));
@@ -297,7 +298,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
         }
         // Line 16: the receiver appends the sender's (unfakeable) ID.
         BeaconFrame forwarded = chosen->payload;
-        forwarded.path = arena.append(shard, forwarded.path, ids.publicId(chosen->sender));
+        forwarded.path = arena.push(shard, ids.publicId(chosen->sender), forwarded.path);
         ++forwarded.len;
         // Lines 20-25: update shortestPath with the first acceptable beacon.
         if (chosenAcceptable && !st.hasShortest[v]) {

@@ -67,7 +67,7 @@ void JsonlTraceSink::writeTrace(std::ostream& os, const TrialTrace& trace) {
            << ",\"idle\":" << static_cast<unsigned>(r.idle) << ",\"lane\":" << e.lane;
         if (r.shards > 1) {
           os << ",\"lanes\":[";
-          for (unsigned s = 0; s < r.shards && s < kTraceMaxShards; ++s) {
+          for (unsigned s = 0; s < r.shards; ++s) {
             if (s > 0) os << ',';
             os << r.laneSends[s];
           }

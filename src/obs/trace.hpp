@@ -40,12 +40,9 @@
 #include <vector>
 
 #include "obs/provenance.hpp"
+#include "support/types.hpp"
 
 namespace bzc::obs {
-
-/// Mirrors runtime kMaxEngineShards without depending on the engine header
-/// (obs is a leaf module; the runtime includes us, not the other way).
-inline constexpr unsigned kTraceMaxShards = 16;
 
 enum class EventKind : std::uint8_t {
   Round,    ///< one engine round: traffic, touched receivers, lane sizes
@@ -67,7 +64,7 @@ struct RoundRecord {
   std::uint8_t idle = 0;  ///< 1: the round moved no traffic (quiescence signal)
   /// Recv-phase lane sizes this round's recv produced, per shard (S > 1
   /// only): how the canonical merge's inputs were distributed.
-  std::array<std::uint32_t, kTraceMaxShards> laneSends{};
+  std::array<std::uint32_t, kMaxShards> laneSends{};
   // Wall-clock phase timings (ns); nondeterministic payload, excluded from
   // the deterministic projection. At every S: recvNs is the recv hooks,
   // mergeNs the flush's counting/metering pass plus (S > 1) the lane merge,

@@ -69,7 +69,7 @@ constexpr std::uint64_t kProtocolStream = 0x52aa;
 }  // namespace
 
 MaterializedTrial materializeTrial(const ScenarioSpec& spec, std::uint32_t index) {
-  BZC_REQUIRE(spec.shards <= kMaxEngineShards, "shards exceeds kMaxEngineShards");
+  BZC_REQUIRE(spec.shards <= kMaxShards, "shards exceeds kMaxShards");
   const Rng master(spec.masterSeed);
   const Rng trialRng = master.fork(index);
 

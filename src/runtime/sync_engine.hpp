@@ -63,11 +63,6 @@
 
 namespace bzc {
 
-/// The engine clamps shard counts above this (ScenarioSpec rejects them): the
-/// path arenas tag refs with a 4-bit shard index, and past ~16 shards the
-/// serial merge/count passes dominate anyway (Amdahl).
-inline constexpr unsigned kMaxEngineShards = 16;
-
 enum class WindowStatus {
   Completed,  ///< all requested rounds ran
   Quiesced,   ///< a round moved no messages (that empty round is counted)
@@ -143,8 +138,8 @@ class SyncEngine {
     void operator()(ShardLane&, NodeId, Round, std::span<const Delivery>) const noexcept {}
   };
 
-  /// maxTotalRounds == 0 disables the engine-wide cap. shards is clamped to
-  /// [1, min(kMaxEngineShards, n)]; 1 (the default) is the serial engine.
+  /// maxTotalRounds == 0 disables the engine-wide cap. shards must lie in
+  /// [1, kMaxShards] and is clamped to n; 1 (the default) is the serial engine.
   SyncEngine(const Graph& g, const ByzantineSet& byz, std::uint64_t maxTotalRounds = 0,
              unsigned shards = 1)
       : graph_(g),
@@ -322,9 +317,8 @@ class SyncEngine {
     std::vector<std::uint32_t> runLengths;  ///< sends per recv call, in perShardTouched_ order
   };
 
-  [[nodiscard]] static unsigned clampShards(unsigned s, NodeId n) noexcept {
-    if (s == 0) s = 1;
-    if (s > kMaxEngineShards) s = kMaxEngineShards;
+  [[nodiscard]] static unsigned clampShards(unsigned s, NodeId n) {
+    BZC_REQUIRE(s >= 1 && s <= kMaxShards, "engine shard count outside [1, kMaxShards]");
     if (n > 0 && s > static_cast<unsigned>(n)) s = static_cast<unsigned>(n);
     return s;
   }
@@ -420,7 +414,7 @@ class SyncEngine {
       const std::int64_t t1 = obs::traceClockNs();
       traceRecvNs_ += t1 - t0;
       t0 = t1;
-      for (unsigned s = 0; s < shards_ && s < obs::kTraceMaxShards; ++s) {
+      for (unsigned s = 0; s < shards_; ++s) {
         rd.laneSends[s] = static_cast<std::uint32_t>(lanes_[s].sends.size());
       }
     }

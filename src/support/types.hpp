@@ -21,4 +21,10 @@ using Round = std::uint32_t;
 inline constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 inline constexpr PublicId kNoPublicId = std::numeric_limits<PublicId>::max();
 
+/// Most intra-trial engine shards (DESIGN.md §10). Path-arena refs carry a
+/// 4-bit shard tag, and past this many shards the serial merge/count passes
+/// dominate anyway (Amdahl). SyncEngine, PathArena and materializeTrial
+/// reject larger counts.
+inline constexpr unsigned kMaxShards = 16;
+
 }  // namespace bzc

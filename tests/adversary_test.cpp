@@ -9,7 +9,6 @@
 
 #include "adversary/profile.hpp"
 #include "adversary/strategies.hpp"
-#include "adversary/token_arena.hpp"
 #include "adversary/walk_adversary.hpp"
 #include "agreement/majority.hpp"
 #include "agreement/pipeline.hpp"
@@ -179,13 +178,12 @@ TEST(VictimHunter, HitsGrowWithRadiusAndConcentrateOnVictim) {
 
 TEST(VictimHunter, ForgeDistinguishesTargetedFromBystanderTokens) {
   const Graph g = ring(8);
-  PathArena arena;
   Coalition coalition;
   Rng rng(1);
   AdversaryStats stats;
   const auto hunter = makeVictimHunterAdversary(g, /*victim=*/0, /*radius=*/1);
   // 6 of 8 honest nodes hold 1: majority 1, minority 0.
-  WalkContext ctx{2, 1, g, arena, 6, 8, 0, coalition, rng, stats};
+  WalkContext ctx{2, 1, g, 6, 8, 0, coalition, rng, stats};
   WalkToken bystander;
   bystander.origin = 4;  // outside the victim's radius-1 neighbourhood
   EXPECT_EQ(hunter->onQuery(ctx, bystander).op, TokenAction::Op::Forward);
@@ -230,20 +228,6 @@ TEST(CoalitionScore, CountsFlippedHonestNodesNearVictim) {
   // A perfect outcome for the coalition: everyone near the victim flipped.
   std::fill(values.begin(), values.end(), 0);
   EXPECT_DOUBLE_EQ(coalitionScore(g, byz, 0, 1, values, 1), 1.0);
-}
-
-TEST(PathArena, ChainPushPopAndReset) {
-  PathArena arena;
-  const PathRef a = arena.push(3, kNullPath);
-  const PathRef b = arena.push(5, a);
-  const PathRef c = arena.push(9, b);
-  EXPECT_EQ(arena.node(c), 9u);
-  EXPECT_EQ(arena.prev(c), b);
-  EXPECT_EQ(arena.node(arena.prev(c)), 5u);
-  EXPECT_EQ(arena.prev(a), kNullPath);
-  EXPECT_EQ(arena.size(), 3u);
-  arena.clear();
-  EXPECT_EQ(arena.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-// Tests for Algorithm 2: parameters, the path arena, and the full protocol
-// under benign and adversarial conditions (Theorem 2, Corollary 1, and the
-// blacklisting mechanism of §1.3).
+// Tests for Algorithm 2: parameters and the full protocol under benign and
+// adversarial conditions (Theorem 2, Corollary 1, and the blacklisting
+// mechanism of §1.3). The path arena is tested in sharding_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "counting/beacon/params.hpp"
-#include "counting/beacon/path.hpp"
 #include "counting/beacon/protocol.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
@@ -67,66 +67,6 @@ TEST(BeaconParams, RoundsPerIteration) {
   EXPECT_EQ(BeaconParams::roundsPerIteration(4), 13u);  // 2i+5
 }
 
-TEST(BeaconPathArena, AppendAndMaterialize) {
-  BeaconPathArena arena;
-  const BeaconPathRef a = arena.append(kNoBeaconPath, 10);
-  const BeaconPathRef b = arena.append(a, 20);
-  const BeaconPathRef c = arena.append(b, 30);
-  EXPECT_EQ(arena.length(c), 3u);
-  EXPECT_EQ(arena.last(c), 30u);
-  const auto ids = arena.materialize(c);
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_EQ(ids[0], 10u);
-  EXPECT_EQ(ids[1], 20u);
-  EXPECT_EQ(ids[2], 30u);
-}
-
-TEST(BeaconPathArena, SharedPrefixes) {
-  BeaconPathArena arena;
-  const BeaconPathRef a = arena.append(kNoBeaconPath, 1);
-  const BeaconPathRef b1 = arena.append(a, 2);
-  const BeaconPathRef b2 = arena.append(a, 3);
-  EXPECT_EQ(arena.materialize(b1)[0], 1u);
-  EXPECT_EQ(arena.materialize(b2)[0], 1u);
-  EXPECT_EQ(arena.size(), 3u);  // prefix stored once
-}
-
-TEST(BeaconPathArena, WalkPrefixSkipsSuffix) {
-  BeaconPathArena arena;
-  BeaconPathRef p = kNoBeaconPath;
-  for (PublicId id = 1; id <= 5; ++id) p = arena.append(p, id);
-  std::vector<PublicId> visited;
-  arena.walkPrefix(p, 2, [&](PublicId id) {
-    visited.push_back(id);
-    return true;
-  });
-  // Last 2 (5, 4) spared; prefix visited suffix-first: 3, 2, 1.
-  ASSERT_EQ(visited.size(), 3u);
-  EXPECT_EQ(visited[0], 3u);
-  EXPECT_EQ(visited[2], 1u);
-}
-
-TEST(BeaconPathArena, WalkPrefixEarlyStop) {
-  BeaconPathArena arena;
-  BeaconPathRef p = kNoBeaconPath;
-  for (PublicId id = 1; id <= 4; ++id) p = arena.append(p, id);
-  int count = 0;
-  const bool completed = arena.walkPrefix(p, 0, [&](PublicId) { return ++count < 2; });
-  EXPECT_FALSE(completed);
-  EXPECT_EQ(count, 2);
-}
-
-TEST(BeaconPathArena, SuffixCoveringWholePath) {
-  BeaconPathArena arena;
-  BeaconPathRef p = arena.append(kNoBeaconPath, 9);
-  bool visitedAny = false;
-  EXPECT_TRUE(arena.walkPrefix(p, 5, [&](PublicId) {
-    visitedAny = true;
-    return true;
-  }));
-  EXPECT_FALSE(visitedAny);
-}
-
 // ---------------------------------------------------------------------------
 // Protocol-level tests.
 
@@ -185,6 +125,29 @@ TEST(BeaconProtocol, DifferentSeedsStillConcentrate) {
   const auto a = runBenign(512, 1);
   const auto b = runBenign(512, 2);
   EXPECT_NEAR(a.out.result.decisions[0].estimate, b.out.result.decisions[0].estimate, 2.0);
+}
+
+// lastPhase is the highest phase any node entered. This run decides every
+// node by phase 4 and quiesces at the start of phase 5, so a phase limit of
+// 4 and one of 64 run the same 84 rounds and both report phase 4.
+TEST(BeaconProtocol, LastPhaseIsTheHighestPhaseEntered) {
+  const NodeId n = 256;
+  Rng gen(12);
+  const Graph g = hnd(n, 8, gen);
+  const ByzantineSet none(n, {});
+  for (const std::uint32_t maxPhase : {4u, 64u}) {
+    BeaconLimits limits;
+    limits.maxPhase = maxPhase;
+    Rng rng(14);
+    const auto out =
+        runBeaconCounting(g, none, BeaconAdversaryProfile::none(), {}, limits, rng);
+    EXPECT_TRUE(out.stats.quiesced) << "maxPhase " << maxPhase;
+    EXPECT_EQ(out.result.totalRounds, 84u) << "maxPhase " << maxPhase;
+    EXPECT_EQ(out.stats.lastPhase, 4u) << "maxPhase " << maxPhase;
+    const std::uint32_t maxDecided =
+        *std::max_element(out.stats.decidedPhase.begin(), out.stats.decidedPhase.end());
+    EXPECT_GE(out.stats.lastPhase, maxDecided) << "maxPhase " << maxPhase;
+  }
 }
 
 TEST(BeaconProtocol, BenignMessagesAreSmall) {

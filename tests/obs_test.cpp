@@ -52,7 +52,7 @@ std::string projectionLine(const obs::TraceEvent& e) {
     os << " r=" << e.rd.round << " s=" << e.rd.sends << " t=" << e.rd.touched
        << " m=" << e.rd.messages << " b=" << e.rd.bits
        << " sh=" << static_cast<unsigned>(e.rd.shards) << " i=" << static_cast<unsigned>(e.rd.idle);
-    for (unsigned s = 0; s < e.rd.shards && s < obs::kTraceMaxShards; ++s) {
+    for (unsigned s = 0; s < e.rd.shards; ++s) {
       os << ' ' << e.rd.laneSends[s];
     }
   }

@@ -4,7 +4,8 @@
 // acceptance-shaped 24/48-trial agreement / pipeline / churn / coalition
 // scenarios through the declarative spec.shards knob, (c) trials × shards
 // oversubscription, and (d) the sharded primitives themselves — engine hook
-// ordering, the shard-tagged path arenas, the lock-free Coalition.
+// ordering, the shard-tagged path arena, the shard cap, the lock-free
+// Coalition.
 //
 // Scenario scope: the ENTIRE strategy gallery is in the invariance class.
 // Strategies that draw inside a shard-parallel recv hook (fractional
@@ -16,18 +17,18 @@
 // epoch-pipelining PR). The RecvDrawing* suites below pin exactly that.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
 
-#include "adversary/token_arena.hpp"
 #include "adversary/walk_adversary.hpp"
-#include "counting/beacon/path.hpp"
 #include "golden_scenarios.hpp"
 #include "graph/generators.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/sync_engine.hpp"
 #include "runtime/thread_pool.hpp"
+#include "support/path_arena.hpp"
 
 namespace bzc {
 namespace {
@@ -388,11 +389,11 @@ TEST(ShardedEngine, ShardedHookMatchesSerialAtEveryShardCount) {
   }
 }
 
-TEST(ShardedEngine, ShardCountIsClampedToNodesAndCap) {
+TEST(ShardedEngine, ShardCountIsClampedToNodes) {
   Rng rng(0xc1a);
   const Graph g = hnd(8, 2, rng);
   const ByzantineSet byz(8, {});
-  IntEngine tiny(g, byz, 0, 32);
+  IntEngine tiny(g, byz, 0, kMaxShards);
   EXPECT_EQ(tiny.shardCount(), 8u);  // clamped to n
   IntEngine wide(g, byz, 0, 5);
   EXPECT_EQ(wide.shardCount(), 5u);
@@ -413,71 +414,140 @@ TEST(ShardedScenarios, ShardsAboveTheEngineCapAreRejected) {
   spec.graph = {GraphKind::Hnd, 64, 8, 0.1};
   spec.protocol = ProtocolKind::Agreement;
   spec.trials = 2;
-  spec.shards = kMaxEngineShards + 1;
+  spec.shards = kMaxShards + 1;
   EXPECT_THROW((void)materializeTrial(spec, 0), std::invalid_argument);
   ExperimentRunner runner(2);
   EXPECT_THROW((void)runner.run(spec), std::invalid_argument);
-  spec.shards = kMaxEngineShards;
+  spec.shards = kMaxShards;
   EXPECT_NO_THROW((void)runner.run(spec));
 }
 
-// ---------------------------------------------------------------------------
-// Shard-tagged path arenas.
-// ---------------------------------------------------------------------------
+// Shard cap: counts outside [1, kMaxShards] are precondition errors in every
+// build type, not clamps.
+TEST(ShardCap, OutOfRangeShardCountsAreRejected) {
+  EXPECT_THROW((void)PathArena<NodeId>(0), std::invalid_argument);
+  EXPECT_THROW((void)PathArena<PublicId>(0), std::invalid_argument);
+  EXPECT_THROW((void)PathArena<NodeId>(kMaxShards + 1), std::invalid_argument);
+  EXPECT_THROW((void)PathArena<PublicId>(kMaxShards + 1), std::invalid_argument);
+  EXPECT_NO_THROW((void)PathArena<PublicId>(kMaxShards));
 
-TEST(PathArenaSharding, ShardZeroRefsAreLegacyIndices) {
-  PathArena arena(4);
-  EXPECT_EQ(arena.shardCount(), 4u);
-  const PathRef a = arena.push(10, kNullPath);  // legacy 2-arg goes to shard 0
-  const PathRef b = arena.push(0, 11, a);
-  EXPECT_EQ(a, 0u);
-  EXPECT_EQ(b, 1u);
-  PathArena serial;  // default: one shard, plain indices
-  EXPECT_EQ(serial.push(10, kNullPath), 0u);
-  EXPECT_EQ(serial.push(11, 0u), 1u);
+  Rng rng(0xcab);
+  const Graph g = hnd(64, 8, rng);
+  const ByzantineSet byz(64, {});
+  EXPECT_THROW((void)IntEngine(g, byz, 0, kMaxShards + 1), std::invalid_argument);
+  EXPECT_THROW((void)IntEngine(g, byz, 0, 0), std::invalid_argument);
+  EXPECT_EQ(IntEngine(g, byz, 0, kMaxShards).shardCount(), kMaxShards);
 }
 
-TEST(PathArenaSharding, CrossShardChainsResolve) {
-  PathArena arena(4);
-  const PathRef root = arena.push(1, 100, kNullPath);
+// ---------------------------------------------------------------------------
+// The shard-tagged path arena, for both instantiations: walk-token reverse
+// routes (NodeId) and beacon path fields (PublicId).
+// ---------------------------------------------------------------------------
+
+template <typename Id>
+class PathArenaTest : public ::testing::Test {};
+using PathIdTypes = ::testing::Types<NodeId, PublicId>;
+TYPED_TEST_SUITE(PathArenaTest, PathIdTypes);
+
+/// IDs on `path` in path order (oldest first), read through walkPrefix.
+template <typename Id>
+std::vector<Id> pathIds(const PathArena<Id>& arena, PathRef path) {
+  std::vector<Id> ids;
+  EXPECT_TRUE(arena.walkPrefix(path, 0, [&](Id id) {
+    ids.push_back(id);
+    return true;
+  }));
+  std::reverse(ids.begin(), ids.end());
+  return ids;
+}
+
+TYPED_TEST(PathArenaTest, ChainsResolveAcrossShards) {
+  using Id = TypeParam;
+  PathArena<Id> arena(4);
+  const PathRef root = arena.push(1, 100, kNoPath);
   const PathRef mid = arena.push(3, 200, root);
   const PathRef tip = arena.push(0, 300, mid);
   EXPECT_NE(root, mid);
   EXPECT_NE(mid, tip);
-  EXPECT_EQ(arena.node(tip), 300u);
+  EXPECT_EQ(arena.id(tip), Id{300});
   EXPECT_EQ(arena.prev(tip), mid);
-  EXPECT_EQ(arena.node(mid), 200u);
+  EXPECT_EQ(arena.id(mid), Id{200});
   EXPECT_EQ(arena.prev(mid), root);
-  EXPECT_EQ(arena.node(root), 100u);
-  EXPECT_EQ(arena.prev(root), kNullPath);
-  EXPECT_EQ(arena.size(), 3u);
-  arena.clear();
-  EXPECT_EQ(arena.size(), 0u);
-  // Recycled lanes start from index 0 again.
-  EXPECT_EQ(arena.push(0, 7, kNullPath), 0u);
-}
-
-TEST(BeaconPathArenaSharding, LanesShareCrossShardPrefixes) {
-  BeaconPathArena arena(4);
-  BeaconPathArena::Lane lane0 = arena.lane(0);
-  BeaconPathArena::Lane lane2 = arena.lane(2);
-  const BeaconPathRef origin = lane0.append(kNoBeaconPath, 41);
-  const BeaconPathRef hop = lane2.append(origin, 42);
-  const BeaconPathRef tip = lane0.append(hop, 43);
-  EXPECT_GE(hop, 0);  // shard tags keep refs positive (int32)
-  EXPECT_EQ(arena.length(tip), 3u);
-  EXPECT_EQ(arena.last(tip), 43u);
-  EXPECT_EQ(arena.materialize(tip), (std::vector<PublicId>{41, 42, 43}));
-  std::vector<PublicId> prefix;
-  EXPECT_TRUE(arena.walkPrefix(tip, 1, [&](PublicId id) {
+  EXPECT_EQ(arena.id(root), Id{100});
+  EXPECT_EQ(arena.prev(root), kNoPath);
+  EXPECT_EQ(pathIds(arena, tip), (std::vector<Id>{100, 200, 300}));
+  std::vector<Id> prefix;
+  EXPECT_TRUE(arena.walkPrefix(tip, 1, [&](Id id) {
     prefix.push_back(id);
     return true;
   }));
-  EXPECT_EQ(prefix, (std::vector<PublicId>{42, 41}));  // suffix-first, last hop spared
-  // Legacy 2-arg append and shard-0 lanes produce plain indices.
-  BeaconPathArena serial;
-  EXPECT_EQ(serial.append(kNoBeaconPath, 9), 0);
-  EXPECT_EQ(serial.append(0, 10), 1);
+  EXPECT_EQ(prefix, (std::vector<Id>{200, 100}));  // newest first, last hop spared
+  EXPECT_EQ(arena.size(), 3u);
+}
+
+TYPED_TEST(PathArenaTest, ShardZeroRefsArePlainIndices) {
+  using Id = TypeParam;
+  PathArena<Id> arena(4);
+  EXPECT_EQ(arena.push(0, 10, kNoPath), 0u);
+  EXPECT_EQ(arena.push(0, 11, 0), 1u);
+  PathArena<Id> serial;  // default: one shard
+  EXPECT_EQ(serial.push(0, 10, kNoPath), 0u);
+  EXPECT_EQ(serial.push(0, 11, 0), 1u);
+}
+
+TYPED_TEST(PathArenaTest, ClearResetsTheSizeAndRecyclesLanes) {
+  using Id = TypeParam;
+  PathArena<Id> arena(2);
+  const PathRef a = arena.push(0, 3, kNoPath);
+  const PathRef b = arena.push(1, 5, a);
+  (void)arena.push(0, 9, b);
+  EXPECT_EQ(arena.size(), 3u);
+  arena.clear();
+  EXPECT_EQ(arena.size(), 0u);
+  EXPECT_EQ(arena.push(0, 7, kNoPath), 0u);  // recycled lanes restart at index 0
+  EXPECT_EQ(arena.size(), 1u);
+}
+
+TYPED_TEST(PathArenaTest, FanOutSharesThePrefix) {
+  using Id = TypeParam;
+  PathArena<Id> arena(4);
+  const PathRef a = arena.push(0, 1, kNoPath);
+  const PathRef b1 = arena.push(0, 2, a);
+  const PathRef b2 = arena.push(2, 3, a);
+  EXPECT_EQ(pathIds(arena, b1), (std::vector<Id>{1, 2}));
+  EXPECT_EQ(pathIds(arena, b2), (std::vector<Id>{1, 3}));
+  EXPECT_EQ(arena.size(), 3u);  // prefix stored once
+}
+
+TYPED_TEST(PathArenaTest, WalkPrefixSkipsTheSuffix) {
+  using Id = TypeParam;
+  PathArena<Id> arena;
+  PathRef p = kNoPath;
+  for (Id id = 1; id <= 5; ++id) p = arena.push(0, id, p);
+  std::vector<Id> visited;
+  EXPECT_TRUE(arena.walkPrefix(p, 2, [&](Id id) {
+    visited.push_back(id);
+    return true;
+  }));
+  EXPECT_EQ(visited, (std::vector<Id>{3, 2, 1}));  // 5 and 4 spared
+  // A suffix at least as long as the path leaves nothing to visit.
+  const PathRef single = arena.push(0, 9, kNoPath);
+  bool visitedAny = false;
+  EXPECT_TRUE(arena.walkPrefix(single, 5, [&](Id) {
+    visitedAny = true;
+    return true;
+  }));
+  EXPECT_FALSE(visitedAny);
+}
+
+TYPED_TEST(PathArenaTest, WalkPrefixStopsEarly) {
+  using Id = TypeParam;
+  PathArena<Id> arena;
+  PathRef p = kNoPath;
+  for (Id id = 1; id <= 4; ++id) p = arena.push(0, id, p);
+  int count = 0;
+  EXPECT_FALSE(arena.walkPrefix(p, 0, [&](Id) { return ++count < 2; }));
+  EXPECT_EQ(count, 2);
 }
 
 // ---------------------------------------------------------------------------
