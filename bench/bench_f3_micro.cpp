@@ -1,12 +1,14 @@
 // F3 — Microbenchmarks (google-benchmark): the hot paths of the simulator.
 //
 // Not a paper claim; engineering support for the experiment harnesses. Keeps
-// an eye on: beacon-round cost, path-arena operations, view integration,
-// spectral sweeps, generators and PRNG draws.
+// an eye on: beacon-round cost, engine flushes, pool hand-offs, path-arena
+// operations, view integration, spectral sweeps, generators and PRNG draws.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
 
+#include "adversary/walk_adversary.hpp"
 #include "counting/beacon/protocol.hpp"
 #include "counting/local/view.hpp"
 #include "graph/expansion.hpp"
@@ -14,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
+#include "runtime/sync_engine.hpp"
 #include "runtime/thread_pool.hpp"
 #include "support/path_arena.hpp"
 #include "support/rng.hpp"
@@ -198,6 +201,74 @@ void BM_ParallelForChunked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * count);
 }
 BENCHMARK(BM_ParallelForChunked)->Arg(1024)->Arg(65536);
+
+// One empty hand-off: the floor under every shard-parallel engine phase (an
+// S > 1 round pays two — flush and recv).
+void BM_PoolHandOff(benchmark::State& state) {
+  ThreadPool pool(4);
+  for (auto _ : state) {
+    pool.parallelForChunked(4, [](std::size_t, std::size_t) {});
+  }
+}
+BENCHMARK(BM_PoolHandOff)->UseRealTime();
+
+// --- SyncEngine flush ------------------------------------------------------
+// Steady traffic on H(8192, 8) at S in {1, 4}: kEngineRounds rounds per
+// iteration, every touched node forwarding, walk-token payloads (the
+// agreement workload's message). s_per_message is wall time per delivered
+// message (printed with an SI prefix, e.g. 30n = 30 ns): flush, recv
+// dispatch and the trivial hooks together.
+constexpr NodeId kEngineNodes = 8192;
+constexpr std::uint32_t kEngineRounds = 8;
+using TokenEngine = SyncEngine<WalkToken>;
+
+// Every node holds one token and forwards each delivery to a fixed
+// neighbour (slot v mod degree), like a walk: one unicast per delivery.
+void BM_EngineFlushUnicast(benchmark::State& state) {
+  Rng rng(0xf1a5);
+  const Graph g = hnd(kEngineNodes, 8, rng);
+  const ByzantineSet byz(kEngineNodes, {});
+  TokenEngine engine(g, byz, 0, static_cast<unsigned>(state.range(0)));
+  const auto forward = [&](TokenEngine::ShardLane& lane, NodeId v, Round,
+                           std::span<const TokenEngine::Delivery> box) {
+    const std::span<const NodeId> nbrs = g.neighbors(v);
+    const NodeId next = nbrs[v % nbrs.size()];
+    for (const TokenEngine::Delivery& d : box) lane.unicast(v, next, d.payload, 88);
+  };
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    for (NodeId u = 0; u < kEngineNodes; ++u) engine.unicast(u, g.neighbors(u).front(), {}, 88);
+    engine.runWindow(kEngineRounds, forward);
+    engine.clearPending();
+    delivered += std::uint64_t{kEngineNodes} * kEngineRounds;
+  }
+  state.counters["s_per_message"] = benchmark::Counter(
+      static_cast<double>(delivered), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineFlushUnicast)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// A flood: every node broadcasts each round it hears anything, so each round
+// delivers n * d = 65536 messages.
+void BM_EngineFlushBroadcast(benchmark::State& state) {
+  Rng rng(0xf1a5);
+  const Graph g = hnd(kEngineNodes, 8, rng);
+  const ByzantineSet byz(kEngineNodes, {});
+  TokenEngine engine(g, byz, 0, static_cast<unsigned>(state.range(0)));
+  const auto flood = [&](TokenEngine::ShardLane& lane, NodeId v, Round,
+                         std::span<const TokenEngine::Delivery> box) {
+    lane.broadcast(v, box.front().payload, 88);
+  };
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    for (NodeId u = 0; u < kEngineNodes; ++u) engine.broadcast(u, {}, 88);
+    engine.runWindow(kEngineRounds, flood);
+    engine.clearPending();
+    delivered += std::uint64_t{kEngineNodes} * 8 * kEngineRounds;
+  }
+  state.counters["s_per_message"] = benchmark::Counter(
+      static_cast<double>(delivered), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineFlushBroadcast)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Future-based submit() round-trip — the per-recount dispatch cost of the
 // epoch pipeline (one submit + one future.get per recounted epoch).

@@ -7,6 +7,7 @@
 
 #include "adversary/strategies.hpp"
 #include "runtime/sync_engine.hpp"
+#include "support/per_shard.hpp"
 #include "support/require.hpp"
 
 namespace bzc {
@@ -100,21 +101,22 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
   // count, which lets sharding_test pin the drawing strategies (tamperer,
   // fractional dropper/flipper) alongside the draw-free class. Honest nodes
   // need streams too: forgeAnswer fires wherever a tainted token ends its
-  // walk. Stats go to one lane per shard at every S and are summed after
-  // the run (sums are shard-order invariant).
+  // walk. Stats go to one lane per shard at every S, each on cache lines
+  // of its own, and are summed after the run (sums are shard-order
+  // invariant).
   std::vector<Rng> recvRng(n);
-  std::vector<AdversaryStats> statsLane(S);
+  PerShard<AdversaryStats> statsLane(S);
   struct SampleCounters {
     std::uint64_t answered = 0;
     std::uint64_t compromised = 0;
   };
-  std::vector<SampleCounters> counterLane(S);
+  PerShard<SampleCounters> counterLane(S);
 
   // Blame-graph lanes (DESIGN.md §14), mirroring statsLane: each shard
   // records keyed edges into its own graph, merged at the end (keyed sums are
   // shard-order invariant). Collection is unconditional — no RNG, no control
   // flow change — so goldens are identical attribution on or off.
-  std::vector<obs::BlameGraph> blameLane(S);
+  PerShard<obs::BlameGraph> blameLane(S);
   // Per-origin compromised-sample records for the wrong-decision
   // counterfactual: written only at the origin accept (v is shard-owned, so
   // race-free), read in the serial decision loop. At most 2 samples/node.
@@ -132,7 +134,7 @@ AgreementOutcome runMajorityAgreement(const Graph& g, const ByzantineSet& byz,
     std::uint64_t round;
     bool answered;
   };
-  std::vector<std::vector<TokenMark>> markLane(S);
+  PerShard<std::vector<TokenMark>> markLane(S);
   const bool flowMarks = obs::currentTrace() != nullptr && obs::traceFlowMarks();
 
   const auto recv = [&](Engine::ShardLane& lane, NodeId v, Round w,

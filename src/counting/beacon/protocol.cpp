@@ -8,6 +8,7 @@
 #include "adversary/beacon/strategies.hpp"
 #include "runtime/sync_engine.hpp"
 #include "support/path_arena.hpp"
+#include "support/per_shard.hpp"
 #include "support/require.hpp"
 
 namespace bzc {
@@ -123,12 +124,12 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
   // canonical inbox order, so recv-drawing strategies (tamperer, grafter,
   // full) are shard-count *invariant*, not merely deterministic per count
   // (sharding_test pins the full gallery). Stats from shard s go to lane s
-  // at every S (one lane at S = 1) and are reduced once after the run; sums
-  // are shard-order invariant.
+  // at every S (one lane at S = 1; each on cache lines of its own) and are
+  // reduced once after the run; sums are shard-order invariant.
   constexpr unsigned kSerialSlot = ~0u;
   const Rng recvBase = fakeRng.fork(0xbe4c);  // fixed recv-stream tag
   std::vector<Rng> recvRng(n);
-  std::vector<BeaconAdversaryStats> advLane(S);
+  PerShard<BeaconAdversaryStats> advLane(S);
   const auto fakeAt = [&](NodeId at, unsigned s) -> Rng& {
     return s == kSerialSlot ? fakeRng : recvRng[at];
   };
@@ -140,7 +141,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
   // out.blame, shard edges to per-shard graphs merged at the end (keyed sums
   // are shard-order invariant). Collection is unconditional and reads
   // committed state only, so goldens are identical attribution on/off.
-  std::vector<bzc::obs::BlameGraph> blameLane(S);
+  PerShard<bzc::obs::BlameGraph> blameLane(S);
   const auto blameAt = [&](unsigned s) -> bzc::obs::BlameGraph& {
     return s == kSerialSlot ? out.blame : blameLane[s];
   };
@@ -316,16 +317,19 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
       // --- Lines 28-32: decisions and blacklist maintenance. Shard-parallel:
       // --- every write is to node-indexed state a shard owns; the two global
       // --- counters reduce over per-shard deltas (sums are order-invariant).
-      std::vector<std::size_t> decidedDelta(S, 0);
-      std::vector<std::uint64_t> insertDelta(S, 0);
-      std::vector<std::uint64_t> untaintedDelta(S, 0);
+      struct DecisionDelta {
+        std::size_t decided = 0;
+        std::uint64_t inserts = 0;
+        std::uint64_t untainted = 0;
+      };
+      PerShard<DecisionDelta> delta(S);
       const std::int64_t decideT0 = trace != nullptr ? bzc::obs::traceClockNs() : 0;
       engine.forEachShard([&](std::size_t s, NodeId lo, NodeId hi) {
         for (NodeId u = lo; u < hi; ++u) {
           if (byz.contains(u) || !st.participating[u] || st.decided[u]) continue;
           if (!st.hasShortest[u]) {
             st.decided[u] = 1;
-            ++decidedDelta[s];
+            ++delta[s].decided;
             out.stats.decidedPhase[u] = phase;
             out.result.decisions[u].decided = true;
             out.result.decisions[u].round = static_cast<Round>(engine.round());
@@ -342,7 +346,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
               const NodeId forger = st.shortest[u].forgeNode;
               arena.walkPrefix(st.shortest[u].path, suffix, [&](PublicId id) {
                 if (st.blacklist[u].insert(id).second) {
-                  ++insertDelta[s];
+                  ++delta[s].inserts;
                   if (forger != kNoNode) {
                     const NodeId src = ids.lookup(id);
                     if (src != kNoNode && !byz.contains(src))
@@ -353,7 +357,7 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
                           .add(bzc::obs::BlameKind::BlacklistedFakeId, forger,
                                bzc::obs::kBlameNone);
                   } else {
-                    ++untaintedDelta[s];
+                    ++delta[s].untainted;
                   }
                 }
                 return true;
@@ -362,10 +366,10 @@ BeaconOutcome runBeaconCounting(const Graph& g, const ByzantineSet& byz,
           }
         }
       });
-      for (unsigned s = 0; s < S; ++s) {
-        undecidedHonest -= decidedDelta[s];
-        out.stats.blacklistInsertions += insertDelta[s];
-        untaintedInsertions += untaintedDelta[s];
+      for (const DecisionDelta& d : delta) {
+        undecidedHonest -= d.decided;
+        out.stats.blacklistInsertions += d.inserts;
+        untaintedInsertions += d.untainted;
       }
       if (trace != nullptr) {
         trace->span("beacon.decisions", decideT0, engine.round());

@@ -63,12 +63,15 @@ struct RoundRecord {
   std::uint8_t shards = 1;
   std::uint8_t idle = 0;  ///< 1: the round moved no traffic (quiescence signal)
   /// Recv-phase lane sizes this round's recv produced, per shard (S > 1
-  /// only): how the canonical merge's inputs were distributed.
+  /// only): how the next flush's sends are spread over the shards.
   std::array<std::uint32_t, kMaxShards> laneSends{};
   // Wall-clock phase timings (ns); nondeterministic payload, excluded from
-  // the deterministic projection. At every S: recvNs is the recv hooks,
-  // mergeNs the flush's counting/metering pass plus (S > 1) the lane merge,
-  // scatterNs the flush's scatter.
+  // the deterministic projection. recvNs is the recv phase (at S > 1 it
+  // includes each shard ranking its recv calls). At S == 1 mergeNs is the
+  // flush's counting/metering pass and scatterNs its scatter. At S > 1
+  // mergeNs is the flush's serial part (serial-lane metering, totals, lane
+  // reset) and scatterNs its shard-parallel pass (per-shard metering,
+  // bucket merge, count and scatter).
   std::int64_t recvNs = 0;
   std::int64_t mergeNs = 0;
   std::int64_t scatterNs = 0;

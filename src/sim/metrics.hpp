@@ -21,12 +21,23 @@ class MessageMeter {
   /// Records node u placing the same `bits`-bit message on `copies` edges
   /// (a broadcast); cheaper than `copies` record() calls in flooding loops.
   void recordBroadcast(NodeId u, std::size_t bits, std::uint32_t copies) noexcept {
-    if (u >= maxMessageBits_.size() || copies == 0) return;
+    if (!recordSender(u, bits, copies)) return;
+    addTotals(copies, static_cast<std::uint64_t>(bits) * copies);
+  }
+
+  /// The per-sender half of recordBroadcast: updates u's own counters only,
+  /// so calls for distinct senders may run concurrently. Returns whether it
+  /// recorded anything; if so the caller owes addTotals(copies, bits * copies).
+  bool recordSender(NodeId u, std::size_t bits, std::uint32_t copies) noexcept {
+    if (u >= maxMessageBits_.size() || copies == 0) return false;
     maxMessageBits_[u] = bits > maxMessageBits_[u] ? bits : maxMessageBits_[u];
     bitsSent_[u] += static_cast<std::uint64_t>(bits) * copies;
     messagesSent_[u] += copies;
-    totalMessages_ += copies;
-    totalBits_ += static_cast<std::uint64_t>(bits) * copies;
+    return true;
+  }
+  void addTotals(std::uint64_t messages, std::uint64_t bits) noexcept {
+    totalMessages_ += messages;
+    totalBits_ += bits;
   }
 
   [[nodiscard]] std::size_t maxMessageBits(NodeId u) const { return maxMessageBits_.at(u); }

@@ -22,6 +22,7 @@
 #include <memory>
 #include <vector>
 
+#include "support/per_shard.hpp"
 #include "support/require.hpp"
 #include "support/types.hpp"
 
@@ -37,7 +38,7 @@ class PathArena {
   explicit PathArena(unsigned shards = 1) {
     BZC_REQUIRE(shards >= 1 && shards <= kMaxShards,
                 "path-arena shard count outside [1, kMaxShards]");
-    lanes_.resize(shards);
+    lanes_ = PerShard<Lane>(shards);
     for (Lane& lane : lanes_) lane.blocks.resize(std::size_t{1} << (kIndexBits - kBlockBits));
   }
 
@@ -79,12 +80,6 @@ class PathArena {
     return true;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    std::size_t total = 0;
-    for (const Lane& lane : lanes_) total += lane.count;
-    return total;
-  }
-
   /// Invalidates every outstanding ref; keeps the allocations.
   void clear() noexcept {
     for (Lane& lane : lanes_) lane.count = 0;
@@ -118,7 +113,7 @@ class PathArena {
     return block[idx & kBlockMask];
   }
 
-  std::vector<Lane> lanes_;
+  PerShard<Lane> lanes_;  ///< one per shard, each on its own cache lines
 };
 
 }  // namespace bzc

@@ -124,6 +124,54 @@ TEST(ObsIdentity, AgreementGoldenIdenticalTraced) {
   }
 }
 
+/// Every Round event of `trace`, projected onto the fields the §1 contract
+/// fixes at any shard count: sends, touched, messages, bits, idle. The
+/// shard count and lane sizes are left out — they describe the partition.
+std::vector<std::string> roundProjection(const obs::TrialTrace& trace) {
+  std::vector<std::string> out;
+  for (const obs::TraceEvent& e : trace.events) {
+    if (e.kind != obs::EventKind::Round) continue;
+    std::ostringstream os;
+    os << "r=" << e.rd.round << " s=" << e.rd.sends << " t=" << e.rd.touched
+       << " m=" << e.rd.messages << " b=" << e.rd.bits
+       << " i=" << static_cast<unsigned>(e.rd.idle);
+    out.push_back(os.str());
+  }
+  return out;
+}
+
+// Fingerprints alone would not notice traffic attributed to the wrong round
+// (a send metered one flush late, a receiver counted in the next round);
+// per-round records do. Pinned on the agreement golden (unicast walk tokens)
+// and the flooder Beacon golden (broadcasts and serial emit/end sends).
+TEST(ObsIdentity, RoundRecordsAreShardCountInvariant) {
+  const auto traced = [](auto run) {
+    obs::TrialTrace trace;
+    {
+      const obs::TraceScope scope(&trace);
+      run();
+    }
+    return roundProjection(trace);
+  };
+  const auto agreement = [&](unsigned shards) {
+    return traced([&] { (void)golden::agreementFingerprint(6, 1.0, shards); });
+  };
+  const auto beacon = [&](unsigned shards) {
+    return traced([&] {
+      (void)golden::beaconFingerprint(BeaconChoicePolicy::PreferAcceptable,
+                                      BeaconAdversaryProfile::flooder(), 10, shards);
+    });
+  };
+  const std::vector<std::string> agreementSerial = agreement(1);
+  const std::vector<std::string> beaconSerial = beacon(1);
+  ASSERT_FALSE(agreementSerial.empty());
+  ASSERT_FALSE(beaconSerial.empty());
+  for (const unsigned shards : {2U, 4U, 8U}) {
+    EXPECT_EQ(agreement(shards), agreementSerial) << "agreement, shards=" << shards;
+    EXPECT_EQ(beacon(shards), beaconSerial) << "beacon flooder, shards=" << shards;
+  }
+}
+
 TEST(ObsIdentity, PipelineGoldenIdenticalTraced) {
   const std::uint64_t untraced = golden::pipelineFingerprint(BeaconAdversaryProfile::flooder(), 10);
   obs::TrialTrace trace;

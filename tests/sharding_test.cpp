@@ -461,6 +461,12 @@ std::vector<Id> pathIds(const PathArena<Id>& arena, PathRef path) {
   return ids;
 }
 
+/// The index part of a ref: its position in its own lane.
+template <typename Id>
+PathRef laneIndex(const PathArena<Id>& arena, PathRef ref) {
+  return ref & static_cast<PathRef>(arena.laneCapacity() - 1);
+}
+
 TYPED_TEST(PathArenaTest, ChainsResolveAcrossShards) {
   using Id = TypeParam;
   PathArena<Id> arena(4);
@@ -482,7 +488,11 @@ TYPED_TEST(PathArenaTest, ChainsResolveAcrossShards) {
     return true;
   }));
   EXPECT_EQ(prefix, (std::vector<Id>{200, 100}));  // newest first, last hop spared
-  EXPECT_EQ(arena.size(), 3u);
+  // One entry per pushed lane: each lane's next index is 1, the unused one's 0.
+  EXPECT_EQ(arena.push(0, 400, tip), 1u);
+  EXPECT_EQ(laneIndex(arena, arena.push(1, 400, tip)), 1u);
+  EXPECT_EQ(laneIndex(arena, arena.push(2, 400, tip)), 0u);
+  EXPECT_EQ(laneIndex(arena, arena.push(3, 400, tip)), 1u);
 }
 
 TYPED_TEST(PathArenaTest, ShardZeroRefsArePlainIndices) {
@@ -495,17 +505,21 @@ TYPED_TEST(PathArenaTest, ShardZeroRefsArePlainIndices) {
   EXPECT_EQ(serial.push(0, 11, 0), 1u);
 }
 
-TYPED_TEST(PathArenaTest, ClearResetsTheSizeAndRecyclesLanes) {
+TYPED_TEST(PathArenaTest, ClearRecyclesEveryLane) {
   using Id = TypeParam;
   PathArena<Id> arena(2);
   const PathRef a = arena.push(0, 3, kNoPath);
   const PathRef b = arena.push(1, 5, a);
-  (void)arena.push(0, 9, b);
-  EXPECT_EQ(arena.size(), 3u);
+  EXPECT_EQ(arena.push(0, 9, b), 1u);  // lane 0's second entry
   arena.clear();
-  EXPECT_EQ(arena.size(), 0u);
-  EXPECT_EQ(arena.push(0, 7, kNoPath), 0u);  // recycled lanes restart at index 0
-  EXPECT_EQ(arena.size(), 1u);
+  // Recycled lanes restart at index 0: lane 0's ref is the plain index, and
+  // lane 1's first ref is its shard tag alone.
+  const PathRef c = arena.push(0, 7, kNoPath);
+  EXPECT_EQ(c, 0u);
+  const PathRef d = arena.push(1, 8, c);
+  EXPECT_EQ(laneIndex(arena, d), 0u);
+  EXPECT_EQ(arena.push(0, 6, d), 1u);
+  EXPECT_EQ(pathIds(arena, d), (std::vector<Id>{7, 8}));
 }
 
 TYPED_TEST(PathArenaTest, FanOutSharesThePrefix) {
@@ -516,7 +530,9 @@ TYPED_TEST(PathArenaTest, FanOutSharesThePrefix) {
   const PathRef b2 = arena.push(2, 3, a);
   EXPECT_EQ(pathIds(arena, b1), (std::vector<Id>{1, 2}));
   EXPECT_EQ(pathIds(arena, b2), (std::vector<Id>{1, 3}));
-  EXPECT_EQ(arena.size(), 3u);  // prefix stored once
+  // The prefix is stored once: lane 0 holds a and b1, lane 2 only b2.
+  EXPECT_EQ(arena.push(0, 4, kNoPath), 2u);
+  EXPECT_EQ(laneIndex(arena, arena.push(2, 5, kNoPath)), 1u);
 }
 
 TYPED_TEST(PathArenaTest, WalkPrefixSkipsTheSuffix) {
